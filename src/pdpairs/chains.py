@@ -389,9 +389,6 @@ class LambdaColumnSolver:
             out.append(RingElem(self.model, support))
         return out
 
-    def in_span(self, b) -> bool:
-        return self.solve(b) is not None
-
 
 class LambdaLinearSystem:
     """General linear constraints over Lambda in several matrix unknowns.
@@ -450,22 +447,23 @@ class LambdaLinearSystem:
             total += rows * cols * ns
         return offsets, total
 
-    def solve(self):
+    def _compile(self, offsets):
+        """The integer system: one dict col -> value per equation, and the
+        right-hand side.  Kept apart from solve so that the row index, which
+        only the build needs, is freed before the elimination starts."""
         model = self.model
         ns = len(self.support)
-        offsets, ncols = self._var_offset()
         row_index = {}
-        rows_meta = []
-        entries = []  # (row, col, value)
+        row_dicts = []  # one dict col -> value per integer equation
         rhs_vals = []
 
         def row_of(cid, r, s, h):
             key = (cid, r, s, h)
             idx = row_index.get(key)
             if idx is None:
-                idx = len(rows_meta)
+                idx = len(row_dicts)
                 row_index[key] = idx
-                rows_meta.append(key)
+                row_dicts.append({})
                 rhs_vals.append(0)
             return idx
 
@@ -502,17 +500,20 @@ class LambdaLinearSystem:
                             for rr, w, cw in pr_list:
                                 for ss, u, cu in qs_list:
                                     h = model.mul(model.mul(u, g), w)
-                                    ridx = row_of(cid, rr, ss, h)
-                                    entries.append((ridx, col,
-                                                    coeff * cu * cw))
+                                    row = row_dicts[row_of(cid, rr, ss, h)]
+                                    nv = row.get(col, 0) + coeff * cu * cw
+                                    if nv:
+                                        row[col] = nv
+                                    else:
+                                        row.pop(col, None)
+        return row_dicts, rhs_vals
+
+    def solve(self):
         from .intlinalg import sparse_solve
-        row_dicts = [dict() for _ in rows_meta]
-        for r, c, v in entries:
-            nv = row_dicts[r].get(c, 0) + v
-            if nv:
-                row_dicts[r][c] = nv
-            else:
-                row_dicts[r].pop(c, None)
+        model = self.model
+        ns = len(self.support)
+        offsets, ncols = self._var_offset()
+        row_dicts, rhs_vals = self._compile(offsets)
         x = sparse_solve(row_dicts, ncols, rhs_vals)
         if x is None:
             return None

@@ -1,8 +1,9 @@
 """Command-line driver.
 
 Subcommands: homology, verify, nu, sum, realize, catalog.  Exit codes:
-0 pass / expected, 1 fail, 2 unknown, 3 input error.  The bounded-search
-radius honours the PD3_SEARCH_RADIUS environment variable.
+0 pass / expected, 1 fail, 2 unknown, 3 input error, which includes a bad
+flag or a missing argument.  The bounded-search radius is a positive
+integer: --radius, else the PD3_SEARCH_RADIUS environment variable, else 4.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import argparse
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import report as rpt
 from .catalog import catalog_entries
@@ -22,16 +22,28 @@ from .pairs import PairError, verify_ladder, verify_pd
 EXIT_PASS, EXIT_FAIL, EXIT_UNKNOWN, EXIT_INPUT = 0, 1, 2, 3
 
 
+def _positive_radius(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"search radius must be a positive integer, not {text!r}")
+    return value
+
+
 def search_radius(args):
-    env = os.environ.get("PD3_SEARCH_RADIUS")
     if args.radius is not None:
         return args.radius
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 4
+    env = os.environ.get("PD3_SEARCH_RADIUS")
+    if not env:
+        return 4
+    try:
+        return _positive_radius(env)
+    except argparse.ArgumentTypeError as exc:
+        print(f"error: PD3_SEARCH_RADIUS: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_INPUT)
 
 
 def _load(path):
@@ -84,14 +96,14 @@ def cmd_verify(args):
     name, pair = _single_pair(scenario, args.file)
     radius = search_radius(args)
     timings = {}
-    t0 = time.time()
+    t0 = time.perf_counter()
     verdict = verify_pd(pair, radius)
-    timings["verify_pd"] = round(time.time() - t0, 3)
+    timings["verify_pd"] = round(time.perf_counter() - t0, 3)
     ladder = None
     if verdict.passed():
-        t0 = time.time()
+        t0 = time.perf_counter()
         ladder = verify_ladder(pair, verdict.fundamental_class, radius)
-        timings["verify_ladder"] = round(time.time() - t0, 3)
+        timings["verify_ladder"] = round(time.perf_counter() - t0, 3)
     if args.json:
         print(rpt.to_json(rpt.verdict_report(verdict, ladder, timings)))
     else:
@@ -107,7 +119,7 @@ def cmd_nu(args):
     scenario = _load(args.file)
     name, pair = _single_pair(scenario, args.file)
     radius = search_radius(args)
-    t0 = time.time()
+    t0 = time.perf_counter()
     verdict = verify_pd(pair, radius)
     if not verdict.passed():
         print(f"{name}: not a verified pair ({verdict.status}: "
@@ -115,7 +127,7 @@ def cmd_nu(args):
         return EXIT_FAIL if verdict.status == "fail" else EXIT_UNKNOWN
     nu = nu_of_pair(pair, verdict.fundamental_class, radius)
     nu = nu_verdict(nu, radius)
-    timings = {"total": round(time.time() - t0, 3)}
+    timings = {"total": round(time.perf_counter() - t0, 3)}
     if args.json:
         print(rpt.to_json(rpt.nu_report(nu, nu.verdict, timings)))
     else:
@@ -201,7 +213,7 @@ def cmd_realize(args):
 
 
 def _run_catalog_entry(entry, radius):
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         pair = entry.builder()
         verdict = verify_pd(pair, radius)
@@ -221,17 +233,15 @@ def _run_catalog_entry(entry, radius):
         "expected": entry.expected_status,
         "ok": ok,
         "reason": reason,
-        "seconds": round(time.time() - t0, 3),
+        "seconds": round(time.perf_counter() - t0, 3),
     }
 
 
 def cmd_catalog(args):
     radius = search_radius(args)
-    entries = catalog_entries()
-    with ThreadPoolExecutor(max_workers=min(4, len(entries))) as pool:
-        results = list(pool.map(lambda e: _run_catalog_entry(e, radius),
-                                entries))
-    results.sort(key=lambda r: r["name"])
+    results = sorted((_run_catalog_entry(e, radius)
+                      for e in catalog_entries()),
+                     key=lambda r: r["name"])
     all_ok = all(r["ok"] for r in results)
     if args.json:
         print(rpt.to_json({"entries": results, "all_expected": all_ok}))
@@ -246,12 +256,21 @@ def cmd_catalog(args):
     return EXIT_PASS if all_ok else EXIT_FAIL
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with EXIT_INPUT; argparse's own 2 means unknown
+    here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="pdpairs",
         description="Chain-level Poincare duality workbench for "
                     "3-dimensional pairs")
-    ap.add_argument("--radius", type=int, default=None,
+    ap.add_argument("--radius", type=_positive_radius, default=None,
                     help="bounded-search radius (default 4, or "
                          "PD3_SEARCH_RADIUS)")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -293,12 +312,11 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
-        code = args.fn(args)
+        args = build_parser().parse_args(argv)
+        return args.fn(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
-    return code
 
 
 if __name__ == "__main__":

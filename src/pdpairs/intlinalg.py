@@ -2,14 +2,17 @@
 
 Everything here is pure arbitrary-precision integer arithmetic: Smith normal
 form with unimodular witnesses, kernel bases, integral linear solving, and
-homology of integer chain complexes.  Matrices are dense lists of rows; the
-desk-scale problems this library targets stay well inside that regime, and
-a LinearSolver caches one SNF so repeated solves against the same matrix are
-cheap.
+homology of integer chain complexes.  IntMatrix is a dense list of rows and
+backs the Smith form; a LinearSolver caches one SNF so repeated solves
+against the same matrix are cheap, and applies its witnesses to the nonzero
+entries of each right-hand side only.  sparse_solve takes rows as dicts,
+eliminates unit pivots in Markowitz order from a candidate heap, and hands
+only the residual core to the dense Smith form.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 
@@ -274,18 +277,21 @@ class LinearSolver:
         res = self.res
         if len(b) != self.A.rows:
             raise ValueError("shape mismatch")
-        c = mat_vec(res.U, b)
-        y = [0] * self.A.cols
-        for i in range(self.A.rows):
+        # U b and V y over the nonzero entries only: right-hand sides are
+        # mostly zero, and U and V are dense
+        b_nz = [(j, x) for j, x in enumerate(b) if x]
+        c = [sum(row[j] * x for j, x in b_nz) for row in res.U.data]
+        y_nz = []
+        for i, ci in enumerate(c):
             if i < res.rank:
-                d = res.diag[i]
-                if c[i] % d != 0:
+                q, r = divmod(ci, res.diag[i])
+                if r:
                     return None
-                if i < self.A.cols:
-                    y[i] = c[i] // d
-            elif c[i] != 0:
+                if q:
+                    y_nz.append((i, q))
+            elif ci:
                 return None
-        return mat_vec(res.V, y)
+        return [sum(row[i] * q for i, q in y_nz) for row in res.V.data]
 
     def kernel_basis(self):
         """Columns of V past the rank span ker(A) as a lattice."""
@@ -353,16 +359,22 @@ def homology_at(d_in: IntMatrix, d_out: IntMatrix) -> HomologyGroup:
     return HomologyGroup(free_rank, torsion, free_gens, torsion_gens)
 
 
-def rank_of(A: IntMatrix) -> int:
-    return snf(A).rank
-
-
 def sparse_solve(rows, ncols, rhs):
     """One integral solution of a sparse system, or None.
 
     rows: list of dicts col -> coefficient.  Unit pivots are eliminated by
     substitution first (these systems are mostly incidence-like), then the
     dense Smith engine finishes the residual core.
+
+    Each pivot is the unit entry (r, c) of least Markowitz cost
+    (len(row r) - 1) * (len(col_rows[c]) - 1), ties going to the smaller r
+    and then the smaller c, so reports are byte-stable.  col_rows[c] also
+    keeps the rows already used as pivots that held c.  Candidates wait in
+    a heap of (cost, r, c) keys.  After each pivot, keys are pushed for the
+    unit entries of the rows it changed and of the columns whose col_rows
+    size changed; a popped key is dropped when its entry is gone, is no
+    longer a unit or costs something else now.  So each step finds the
+    pivot a scan of every live row would, at the price of what it touches.
     """
     rows = [dict(r) for r in rows]
     b = list(rhs)
@@ -370,45 +382,35 @@ def sparse_solve(rows, ncols, rhs):
     for ri, row in enumerate(rows):
         for c in row:
             col_rows.setdefault(c, set()).add(ri)
-    alive_rows = set(range(len(rows)))
+    alive_rows = set()
+    for ri, row in enumerate(rows):
+        if row:
+            alive_rows.add(ri)
+        elif b[ri] != 0:
+            return None
     alive_cols = set(col_rows)
     eliminated = []  # (col, sign, row-dict snapshot, b-value)
 
-    def pick_pivot():
-        # deterministic scan order keeps reports byte-stable
-        best = None
-        for ri in sorted(alive_rows):
-            row = rows[ri]
-            if not row:
-                continue
-            for c in sorted(row):
-                val = row[c]
-                if val in (1, -1):
-                    score = (len(row) - 1) * (len(col_rows.get(c, ())) - 1)
-                    if best is None or score < best[0]:
-                        best = (score, ri, c, val)
-                        if score == 0:
-                            return best
-        return best
+    def cost(ri, c):
+        return (len(rows[ri]) - 1) * (len(col_rows[c]) - 1)
 
-    while True:
-        # drop empty rows, checking consistency
-        for ri in list(alive_rows):
-            if not rows[ri]:
-                if b[ri] != 0:
-                    return None
-                alive_rows.discard(ri)
-        piv = pick_pivot()
-        if piv is None:
-            break
-        _, ri, c, val = piv
+    heap = [(cost(ri, c), ri, c) for ri, row in enumerate(rows)
+            for c, v in row.items() if v in (1, -1)]
+    heapq.heapify(heap)
+    while heap:
+        key, ri, c = heapq.heappop(heap)
         row = rows[ri]
+        val = row.get(c)
+        if val not in (1, -1) or cost(ri, c) != key:
+            continue  # stale key; dead rows are empty dicts
         snapshot = {cc: vv for cc, vv in row.items() if cc != c}
         eliminated.append((c, val, snapshot, b[ri]))
-        users = col_rows.pop(c, set())
+        users = col_rows.pop(c)
         users.discard(ri)
         alive_rows.discard(ri)
         alive_cols.discard(c)
+        sizes = [(cc, len(col_rows[cc])) for cc in snapshot]
+        touched = set()
         for rj in users:
             if rj not in alive_rows:
                 continue
@@ -416,23 +418,38 @@ def sparse_solve(rows, ncols, rhs):
             beta = other.pop(c, 0)
             if not beta:
                 continue
+            touched.add(rj)
             factor = beta * val
             for cc, vv in snapshot.items():
                 nv = other.get(cc, 0) - factor * vv
                 if nv:
                     other[cc] = nv
-                    col_rows.setdefault(cc, set()).add(rj)
+                    col_rows[cc].add(rj)
                 else:
                     other.pop(cc, None)
-                    s = col_rows.get(cc)
-                    if s is not None:
-                        s.discard(rj)
+                    col_rows[cc].discard(rj)
             b[rj] -= factor * b[ri]
         rows[ri] = {}
+        for rj in touched:
+            other = rows[rj]
+            if not other:
+                if b[rj] != 0:
+                    return None
+                alive_rows.discard(rj)
+            for cc, vv in other.items():
+                if vv in (1, -1):
+                    heapq.heappush(heap, (cost(rj, cc), rj, cc))
+        for cc, size in sizes:
+            members = col_rows[cc]
+            if len(members) == size:
+                continue
+            for rj in members:
+                if rj not in touched and rows[rj].get(cc) in (1, -1):
+                    heapq.heappush(heap, (cost(rj, cc), rj, cc))
     # dense core
     core_cols = sorted(alive_cols)
     col_pos = {c: i for i, c in enumerate(core_cols)}
-    core_rows = [ri for ri in sorted(alive_rows) if rows[ri]]
+    core_rows = sorted(alive_rows)
     solution = [0] * ncols
     if core_rows:
         mat = IntMatrix.zero(len(core_rows), len(core_cols))
@@ -446,19 +463,12 @@ def sparse_solve(rows, ncols, rhs):
             return None
         for c, x in zip(core_cols, core):
             solution[c] = x
-    for ri in alive_rows:
-        if not rows[ri] and b[ri] != 0:
-            return None
     for c, val, snapshot, bval in reversed(eliminated):
         acc = bval
         for cc, vv in snapshot.items():
             acc -= vv * solution[cc]
         solution[c] = val * acc  # val is +-1, so this is division
     return solution
-
-
-def in_column_span(solver: LinearSolver, v) -> bool:
-    return solver.solve(v) is not None
 
 
 def class_coordinates(hom: HomologyGroup, boundary_in: IntMatrix, cycle):

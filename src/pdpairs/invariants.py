@@ -51,9 +51,6 @@ class FundamentalTriple:
     level: str                       # "pair" | "classifying"
     pair: ChainPairData | None = None
 
-    def describe_system(self):
-        return [(c.name, c.kappa_names(self.model)) for c in self.system]
-
 
 def extract_triple(pair: ChainPairData, verdict: PDVerdict) -> FundamentalTriple:
     """The triple of a verified pair; raises on unverified input."""

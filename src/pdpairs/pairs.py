@@ -597,9 +597,6 @@ class ChainPairData:
     def cell(self, name):
         return self.P.cell_index(name)
 
-    def d_cell_names(self, degree):
-        return [self.P.name_of(degree, i) for i in self._d_cells.get(degree, [])]
-
     def inclusion_map(self) -> LambdaChainMap:
         comps = {}
         for d in self.Q.degrees():

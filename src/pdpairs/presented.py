@@ -50,9 +50,6 @@ class PresentedModule:
             [[cols[c][i] for c in range(len(cols))] for i in range(ngens)])
         self.label = label
 
-    def is_zero_presentation(self):
-        return self.ngens == 0
-
     def relation_solver(self, radius=4):
         return LambdaColumnSolver(self.relations, radius)
 

@@ -79,11 +79,6 @@ def _require_verified(pair, verdict):
     return verdict
 
 
-def _merge_names(pair, tag):
-    return {d: tuple(f"{n}.{tag}" for n in names)
-            for d, names in pair.P.basis_names.items()}
-
-
 def _embedded_diag_tensor(tensor, model, remap, sign_map=None):
     out = LambdaTensor(model)
     for (a, g, b), coeff in tensor.terms.items():

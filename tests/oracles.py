@@ -3,7 +3,10 @@
 Nothing here shares code with the package's elimination engine: invariant
 factors come from the classical minors-gcd characterization (determinants
 via fraction-free Bareiss), and homology comes from a from-scratch
-xgcd-based kernel computation.
+xgcd-based kernel computation.  The one exception is
+sparse_solve_reference, a reference for pivot order rather than an
+independent oracle: it finishes its residual core with the package's dense
+LinearSolver.
 """
 
 import itertools
@@ -150,3 +153,105 @@ def _solve_exact(basis_cols, n, k, target):
         return None
     s = -best[k]
     return [s * best[i] for i in range(k)]
+
+
+def sparse_solve_reference(rows, ncols, rhs):
+    """The full-scan unit-pivot elimination that intlinalg.sparse_solve
+    replaced with a candidate heap.
+
+    Each step re-sorts every live row and scans it for the unit entry of
+    least Markowitz cost, stopping early at cost 0.  The heap version must
+    pick the same pivots and so return the same vector, or None.
+    """
+    from pdpairs.intlinalg import IntMatrix, LinearSolver
+    rows = [dict(r) for r in rows]
+    b = list(rhs)
+    col_rows = {}
+    for ri, row in enumerate(rows):
+        for c in row:
+            col_rows.setdefault(c, set()).add(ri)
+    alive_rows = set(range(len(rows)))
+    alive_cols = set(col_rows)
+    eliminated = []  # (col, sign, row-dict snapshot, b-value)
+
+    def pick_pivot():
+        # deterministic scan order keeps reports byte-stable
+        best = None
+        for ri in sorted(alive_rows):
+            row = rows[ri]
+            if not row:
+                continue
+            for c in sorted(row):
+                val = row[c]
+                if val in (1, -1):
+                    score = (len(row) - 1) * (len(col_rows.get(c, ())) - 1)
+                    if best is None or score < best[0]:
+                        best = (score, ri, c, val)
+                        if score == 0:
+                            return best
+        return best
+
+    while True:
+        # drop empty rows, checking consistency
+        for ri in list(alive_rows):
+            if not rows[ri]:
+                if b[ri] != 0:
+                    return None
+                alive_rows.discard(ri)
+        piv = pick_pivot()
+        if piv is None:
+            break
+        _, ri, c, val = piv
+        row = rows[ri]
+        snapshot = {cc: vv for cc, vv in row.items() if cc != c}
+        eliminated.append((c, val, snapshot, b[ri]))
+        users = col_rows.pop(c, set())
+        users.discard(ri)
+        alive_rows.discard(ri)
+        alive_cols.discard(c)
+        for rj in users:
+            if rj not in alive_rows:
+                continue
+            other = rows[rj]
+            beta = other.pop(c, 0)
+            if not beta:
+                continue
+            factor = beta * val
+            for cc, vv in snapshot.items():
+                nv = other.get(cc, 0) - factor * vv
+                if nv:
+                    other[cc] = nv
+                    col_rows.setdefault(cc, set()).add(rj)
+                else:
+                    other.pop(cc, None)
+                    s = col_rows.get(cc)
+                    if s is not None:
+                        s.discard(rj)
+            b[rj] -= factor * b[ri]
+        rows[ri] = {}
+    # dense core
+    core_cols = sorted(alive_cols)
+    col_pos = {c: i for i, c in enumerate(core_cols)}
+    core_rows = [ri for ri in sorted(alive_rows) if rows[ri]]
+    solution = [0] * ncols
+    if core_rows:
+        mat = IntMatrix.zero(len(core_rows), len(core_cols))
+        vec = []
+        for k, ri in enumerate(core_rows):
+            for c, vv in rows[ri].items():
+                mat.data[k][col_pos[c]] = vv
+            vec.append(b[ri])
+        core = LinearSolver(mat).solve(vec)
+        if core is None:
+            return None
+        for c, x in zip(core_cols, core):
+            solution[c] = x
+    for ri in alive_rows:
+        if not rows[ri] and b[ri] != 0:
+            return None
+    for c, val, snapshot, bval in reversed(eliminated):
+        acc = bval
+        for cc, vv in snapshot.items():
+            acc -= vv * solution[cc]
+        solution[c] = val * acc  # val is +-1, so this is division
+    return solution

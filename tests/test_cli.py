@@ -92,10 +92,42 @@ def test_search_radius_env(monkeypatch):
     ns = argparse.Namespace(radius=None)
     monkeypatch.setenv("PD3_SEARCH_RADIUS", "2")
     assert search_radius(ns) == 2
-    monkeypatch.setenv("PD3_SEARCH_RADIUS", "junk")
+    monkeypatch.delenv("PD3_SEARCH_RADIUS")
     assert search_radius(ns) == 4
+    for bad in ("junk", "0", "-2", "1.5"):
+        monkeypatch.setenv("PD3_SEARCH_RADIUS", bad)
+        with pytest.raises(SystemExit) as exc:
+            search_radius(ns)
+        assert exc.value.code == 3
     ns = argparse.Namespace(radius=3)
     assert search_radius(ns) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["--radius", "abc", "verify", "d3.pdp"],
+    ["--radius", "0", "verify", "solid_torus.pdp"],
+    ["--radius", "-3", "verify", "solid_torus.pdp"],
+    ["verify"],
+    ["verify", "d3.pdp", "--no-such-flag"],
+    ["no-such-command"],
+])
+def test_bad_flags_exit_three(argv, capsys):
+    argv = [fx(a) if a.endswith(".pdp") else a for a in argv]
+    assert main(argv) == 3
+    assert "error:" in capsys.readouterr().err
+
+
+def test_bad_radius_env_exit_three(monkeypatch, capsys):
+    monkeypatch.setenv("PD3_SEARCH_RADIUS", "0")
+    assert main(["verify", fx("solid_torus.pdp")]) == 3
+    assert "PD3_SEARCH_RADIUS" in capsys.readouterr().err
+    assert main(["--radius", "2", "verify", fx("solid_torus.pdp")]) == 0
+
+
+def test_help_exit_zero(capsys):
+    assert main(["--help"]) == 0
+    assert main(["verify", "--help"]) == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 def test_catalog_command(capsys):

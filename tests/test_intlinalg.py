@@ -12,6 +12,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import sparse_solve_reference
 from pdpairs.intlinalg import (
     HomologyGroup,
     IntMatrix,
@@ -21,6 +22,7 @@ from pdpairs.intlinalg import (
     mat_vec,
     snf,
     solve_integral,
+    sparse_solve,
 )
 
 
@@ -181,3 +183,129 @@ def test_homology_generators_are_cycles():
             assert mat_vec(d1, g) == [0]
         # rank-nullity over Q: free rank = n1 - rank d1 - rank d2
         assert h.free_rank == n1 - snf(d2).rank
+
+
+def _solve_by_mat_vec(solver, b):
+    """LinearSolver.solve as it was: dense U.b and V.y."""
+    res, A = solver.res, solver.A
+    c = mat_vec(res.U, b)
+    y = [0] * A.cols
+    for i in range(A.rows):
+        if i < res.rank:
+            d = res.diag[i]
+            if c[i] % d != 0:
+                return None
+            if i < A.cols:
+                y[i] = c[i] // d
+        elif c[i] != 0:
+            return None
+    return mat_vec(res.V, y)
+
+
+def _random_rhs(rng, A, kind):
+    m, n = A.rows, A.cols
+    if kind == "zero":
+        return [0] * m
+    if kind == "sparse":
+        x0 = [0] * n
+        for j in rng.sample(range(n), min(n, 2)):
+            x0[j] = rng.randint(-4, 4)
+        return mat_vec(A, x0)
+    if kind == "dense":
+        return mat_vec(A, [rng.randint(-4, 4) for _ in range(n)])
+    # unsolvable as a rule: an arbitrary vector, then one entry knocked off
+    b = mat_vec(A, [rng.randint(-4, 4) for _ in range(n)])
+    b[rng.randrange(m)] += rng.choice([1, 3])
+    return b
+
+
+@pytest.mark.parametrize("kind", ["sparse", "dense", "zero", "unsolvable"])
+def test_linear_solver_matches_dense_witness_product(kind):
+    rng = random.Random(f"linear-solver-{kind}")
+    for _ in range(60):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        A = IntMatrix.from_rows(
+            [[rng.choice([0, 0, 1, -1, 2, -3, 5]) for _ in range(n)]
+             for _ in range(m)])
+        solver = LinearSolver(A)
+        b = _random_rhs(rng, A, kind)
+        x = solver.solve(b)
+        assert x == _solve_by_mat_vec(solver, b)
+        if x is not None:
+            assert mat_vec(A, x) == b
+        elif kind != "unsolvable":
+            pytest.fail("a right-hand side in the image was not solved")
+
+
+def test_linear_solver_degenerate_shapes():
+    for A, b in ((IntMatrix.zero(3, 0), [0, 0, 0]),
+                 (IntMatrix.zero(3, 0), [0, 1, 0]),
+                 (IntMatrix.zero(0, 2), []),
+                 (IntMatrix.zero(2, 2), [0, 0])):
+        solver = LinearSolver(A)
+        assert solver.solve(b) == _solve_by_mat_vec(solver, b)
+
+
+def _random_sparse_system(rng, kind):
+    """(rows, ncols, rhs) of one of the shapes sparse_solve meets."""
+    big = kind == "large"
+    m = rng.randint(30, 70) if big else rng.randint(0, 8)
+    n = rng.randint(30, 70) if big else rng.randint(1, 8)
+    if kind == "dense-ish":
+        density, values = 0.7, [-3, -2, -1, 1, 2, 3]
+    else:
+        density = 4 / n if big else 0.35
+        values = [1, -1, 1, -1, 1, -1, 2, -3]
+    rows = [{c: rng.choice(values) for c in range(n)
+             if rng.random() < density} for _ in range(m)]
+    x0 = [rng.randint(-3, 3) for _ in range(n)]
+    rhs = [sum(v * x0[c] for c, v in row.items()) for row in rows]
+    if kind == "zero-rows":
+        for ri in rng.sample(range(m), m // 2):
+            rows[ri] = {}
+            rhs[ri] = rng.choice([0, 0, 1])
+    elif kind == "inconsistent" and rows:
+        # a copy of a row with another right-hand side cancels to 0 = 1
+        ri = rng.randrange(m)
+        rows.append(dict(rows[ri]))
+        rhs.append(rhs[ri] + 1)
+    elif kind == "unsolvable-core":
+        # a core without unit entries whose right-hand side is odd
+        extra = rng.randint(1, 3)
+        for _ in range(extra):
+            rows.append({n + k: rng.choice([2, -2, 4, 0])
+                         for k in range(extra)} | {n: 2})
+            rhs.append(rng.choice([1, 3, -1]))
+        n += extra
+    elif rng.random() < 0.3 and rhs:
+        rhs[rng.randrange(len(rhs))] += 1
+    return rows, n, rhs
+
+
+@pytest.mark.parametrize("kind", ["unit-heavy", "dense-ish", "zero-rows",
+                                  "inconsistent", "unsolvable-core", "large"])
+def test_sparse_solve_matches_full_scan_reference(kind):
+    rng = random.Random(f"sparse-solve-{kind}")
+    solved = unsolved = 0
+    for _ in range(25 if kind == "large" else 150):
+        rows, ncols, rhs = _random_sparse_system(rng, kind)
+        before = [dict(r) for r in rows]
+        x = sparse_solve(rows, ncols, rhs)
+        assert rows == before  # the input is left alone
+        assert x == sparse_solve_reference(rows, ncols, rhs)
+        if x is not None:
+            solved += 1
+            assert len(x) == ncols
+            for row, bval in zip(rows, rhs):
+                assert sum(v * x[c] for c, v in row.items()) == bval
+        else:
+            unsolved += 1
+        if kind != "large":
+            A = IntMatrix.from_rows(
+                [[row.get(c, 0) for c in range(ncols)] for row in rows]
+            ) if rows else IntMatrix.zero(0, ncols)
+            assert (x is None) == (LinearSolver(A).solve(rhs) is None)
+    if kind in ("inconsistent", "unsolvable-core"):
+        assert unsolved > solved
+    else:
+        assert solved > 0
