@@ -151,25 +151,6 @@ def compose(outer: LambdaMatrix, inner: LambdaMatrix) -> LambdaMatrix:
     return out
 
 
-def matmul(a: LambdaMatrix, b: LambdaMatrix) -> LambdaMatrix:
-    """Plain ring product of matrices, entries multiplied in written order."""
-    if a.model != b.model:
-        raise ChainError("model mismatch")
-    if a.cols != b.rows:
-        raise ChainError("shape mismatch")
-    model = a.model
-    out = LambdaMatrix(model, a.rows, b.cols)
-    for i in range(a.rows):
-        for k in range(b.cols):
-            acc = model.zero()
-            for j in range(a.cols):
-                e = a.data[i][j]
-                if not e.is_zero():
-                    acc = acc + e * b.data[j][k]
-            out.data[i][k] = acc
-    return out
-
-
 def apply_matrix(m: LambdaMatrix, vec):
     """Image coefficients of the chain with coefficient vector vec."""
     if len(vec) != m.cols:
@@ -189,78 +170,24 @@ def apply_matrix(m: LambdaMatrix, vec):
 
 
 # ---------------------------------------------------------------------------
-# Linearization over finite models
+# The regular representation.  A Lambda-vector whose entries are supported
+# on a list of group elements is the integer vector of their coefficients,
+# entry after entry; over a finite model that list is the whole group in
+# sort_key order.
 
 
 def _finite_order(model: GroupModel):
     if not model.is_finite():
-        raise ChainError("linearize: model is not finite")
+        raise ChainError("regular representation: model is not finite")
     return model.ball(0)
-
-
-def _left_block(model, elems, index, r: RingElem) -> IntMatrix:
-    # column j = coordinates of r * g_j
-    n = len(elems)
-    out = IntMatrix.zero(n, n)
-    for g, c in r.support.items():
-        for j, gj in enumerate(elems):
-            out.data[index[model.mul(g, gj)]][j] += c
-    return out
-
-
-def _right_block(model, elems, index, r: RingElem) -> IntMatrix:
-    # column j = coordinates of g_j * r
-    n = len(elems)
-    out = IntMatrix.zero(n, n)
-    for g, c in r.support.items():
-        for j, gj in enumerate(elems):
-            out.data[index[model.mul(gj, g)]][j] += c
-    return out
-
-
-PLAIN, BAR_LEFT, BAR_RIGHT = "plain", "bar-left", "bar-right"
-
-
-def linearize(m: LambdaMatrix, twist: str = PLAIN) -> IntMatrix:
-    """Expand a Lambda-matrix over a finite model into integer blocks.
-
-    plain: each entry acts by left multiplication (a ring homomorphism on
-    matrices, multiplicative for matmul).  bar-left / bar-right precompose
-    the entry with the twisted involution and act by left / right
-    multiplication, realizing the omega-twisted module structures.
-    """
-    model = m.model
-    elems = _finite_order(model)
-    index = {g: i for i, g in enumerate(elems)}
-    n = len(elems)
-    out = IntMatrix.zero(m.rows * n, m.cols * n)
-    for i in range(m.rows):
-        for j in range(m.cols):
-            e = m.data[i][j]
-            if e.is_zero():
-                continue
-            if twist == PLAIN:
-                block = _left_block(model, elems, index, e)
-            elif twist == BAR_LEFT:
-                block = _left_block(model, elems, index, e.bar())
-            elif twist == BAR_RIGHT:
-                block = _right_block(model, elems, index, e.bar())
-            else:
-                raise ChainError(f"unknown twist {twist!r}")
-            for r in range(n):
-                row = out.data[i * n + r]
-                brow = block.data[r]
-                for c in range(n):
-                    if brow[c]:
-                        row[j * n + c] += brow[c]
-    return out
 
 
 def system_block_matrix(m: LambdaMatrix) -> IntMatrix:
     """Integer matrix whose column action mirrors apply_matrix.
 
-    Entry blocks are right-multiplication operators, which is what the
-    coefficients-on-the-left convention requires.
+    Block (i, j) is right multiplication by entry (i, j): its column g holds
+    the coordinates of g * m[i][j], which is what the coefficients-on-the-
+    left convention requires.
     """
     model = m.model
     elems = _finite_order(model)
@@ -269,106 +196,70 @@ def system_block_matrix(m: LambdaMatrix) -> IntMatrix:
     out = IntMatrix.zero(m.rows * n, m.cols * n)
     for i in range(m.rows):
         for j in range(m.cols):
-            e = m.data[i][j]
-            if e.is_zero():
-                continue
-            block = _right_block(model, elems, index, e)
-            for r in range(n):
-                for c in range(n):
-                    if block.data[r][c]:
-                        out.data[i * n + r][j * n + c] += block.data[r][c]
+            for w, c in m.data[i][j].support.items():
+                for k, g in enumerate(elems):
+                    out.data[i * n + index[model.mul(g, w)]][j * n + k] += c
     return out
 
 
-def ring_vec_to_int(model, elems, index, vec):
-    out = []
-    for r in vec:
-        coords = [0] * len(elems)
-        for g, c in r.support.items():
-            coords[index[g]] = c
-        out.extend(coords)
-    return out
-
-
-def int_vec_to_ring(model, elems, vec, width):
-    n = len(elems)
-    out = []
-    for j in range(width):
-        support = {}
-        for k in range(n):
-            c = vec[j * n + k]
-            if c:
-                support[elems[k]] = c
-        out.append(RingElem(model, support))
-    return out
+def int_vec_to_ring(model, support, vec, width):
+    """The width ring elements whose coefficients over support are vec."""
+    n = len(support)
+    return [RingElem(model, {g: c for g, c in
+                             zip(support, vec[j * n:(j + 1) * n]) if c})
+            for j in range(width)]
 
 
 # ---------------------------------------------------------------------------
-# Solving Lambda-linear systems: finite models exactly, infinite models by
-# bounded-support search.
+# Solving Lambda-linear systems with unknowns supported on a word-metric
+# ball: exact over finite models, where the ball is the whole group, and a
+# bounded-support search over infinite ones.
 
 
 class LambdaColumnSolver:
     """Solve apply(M, x) = b repeatedly for a fixed matrix M.
 
-    Finite models get the exact regular-representation system; infinite
-    models get unknowns supported on a word-metric ball, so failure only
-    means failure at this radius.
+    The unknowns are supported on model.ball(radius), and the integer
+    system has one equation (i, h) for each row i of M and each group
+    element h that the support reaches through that row.  Over a finite
+    model the ball is the whole group, so the solve is exact, and when M has
+    no zero row the system is system_block_matrix(M); over an infinite model
+    failure only means failure at this radius.
     """
 
     def __init__(self, m: LambdaMatrix, radius: int = 4):
         self.m = m
-        self.model = m.model
+        self.model = model = m.model
         self.radius = radius
-        if self.model.is_finite():
-            self.elems = _finite_order(self.model)
-            self.index = {g: i for i, g in enumerate(self.elems)}
-            self.solver = LinearSolver(system_block_matrix(m))
-            self.exact = True
-        else:
-            self.exact = False
-            self.support = self.model.ball(radius)
-            self._build_bounded()
-
-    def _build_bounded(self):
-        m, model = self.m, self.model
-        support = self.support
-        # row index: (i, group element) for every reachable element
-        self.row_index = {}
-        rows = []
+        self.support = model.ball(radius)
+        ns = len(self.support)
+        # (i, h) -> {column of (j, g): coefficient of g^-1 h in m[i][j]}
+        cells = {}
+        keys = []
         for i in range(m.rows):
             reach = set()
             for j in range(m.cols):
-                for w in m.data[i][j].support:
-                    for g in support:
-                        reach.add(model.mul(g, w))
-            for h in sorted(reach, key=model.sort_key):
-                self.row_index[(i, h)] = len(rows)
-                rows.append((i, h))
-        self.rows_list = rows
-        ncols = m.cols * len(support)
-        mat = IntMatrix.zero(len(rows), ncols)
-        for j in range(m.cols):
-            for gi, g in enumerate(support):
-                col = j * len(support) + gi
-                for i in range(m.rows):
-                    e = m.data[i][j]
-                    for w, c in e.support.items():
-                        r = self.row_index.get((i, model.mul(g, w)))
-                        if r is not None:
-                            mat.data[r][col] += c
-            # zero columns are fine; LinearSolver handles them
+                for w, c in m.data[i][j].support.items():
+                    for gi, g in enumerate(self.support):
+                        h = model.mul(g, w)
+                        reach.add(h)
+                        cells.setdefault((i, h), {})[j * ns + gi] = c
+            # sorted from a set: where sort_key ties (free factors with equal
+            # letter names) the set's iteration order decides the row order,
+            # and the solution the elimination picks depends on it
+            keys.extend((i, h) for h in sorted(reach, key=model.sort_key))
+        self.row_index = {key: r for r, key in enumerate(keys)}
+        mat = IntMatrix.zero(len(keys), m.cols * ns)
+        for row, key in zip(mat.data, keys):
+            for col, c in cells[key].items():
+                row[col] = c
         self.solver = LinearSolver(mat)
 
     def solve(self, b):
         """b: list of RingElem of length m.rows -> list of RingElem or None."""
-        if self.exact:
-            bi = ring_vec_to_int(self.model, self.elems, self.index, b)
-            x = self.solver.solve(bi)
-            if x is None:
-                return None
-            return int_vec_to_ring(self.model, self.elems, x, self.m.cols)
-        rhs = [0] * len(self.rows_list)
+        if len(b) != self.m.rows:
+            raise ChainError("shape mismatch")
+        rhs = [0] * len(self.row_index)
         for i, r in enumerate(b):
             for h, c in r.support.items():
                 idx = self.row_index.get((i, h))
@@ -378,16 +269,7 @@ class LambdaColumnSolver:
         x = self.solver.solve(rhs)
         if x is None:
             return None
-        ns = len(self.support)
-        out = []
-        for j in range(self.m.cols):
-            support = {}
-            for gi, g in enumerate(self.support):
-                c = x[j * ns + gi]
-                if c:
-                    support[g] = c
-            out.append(RingElem(self.model, support))
-        return out
+        return int_vec_to_ring(self.model, self.support, x, self.m.cols)
 
 
 class LambdaLinearSystem:
@@ -401,11 +283,7 @@ class LambdaLinearSystem:
 
     def __init__(self, model: GroupModel, radius: int = 4):
         self.model = model
-        if model.is_finite():
-            self.support = model.ball(0)
-        else:
-            self.support = model.ball(radius)
-        self.sindex = {g: i for i, g in enumerate(self.support)}
+        self.support = model.ball(radius)
         self.vars = {}
         self.var_order = []
         self.constraints = []
@@ -521,16 +399,11 @@ class LambdaLinearSystem:
         for name in self.var_order:
             vr, vc = self.vars[name]
             base = offsets[name]
-            m = LambdaMatrix(model, vr, vc)
-            for p in range(vr):
-                for q in range(vc):
-                    support = {}
-                    for gi, g in enumerate(self.support):
-                        c = x[base + (p * vc + q) * ns + gi]
-                        if c:
-                            support[g] = c
-                    m.data[p][q] = RingElem(model, support)
-            out[name] = m
+            out[name] = LambdaMatrix(model, vr, vc, [
+                int_vec_to_ring(model, self.support,
+                                x[base + p * vc * ns:base + (p + 1) * vc * ns],
+                                vc)
+                for p in range(vr)])
         return out
 
 

@@ -95,15 +95,14 @@ class SnfResult:
     """U * A * V = D with D diagonal in divisibility order.
 
     diag lists only the nonzero invariant factors; rank == len(diag).
-    Uinv and Vinv are maintained alongside so witnesses can be verified and
-    inverted without any further elimination.
+    Uinv is maintained alongside, so a left witness can be inverted without
+    any further elimination.
     """
 
     diag: list
     U: IntMatrix
     V: IntMatrix
     Uinv: IntMatrix
-    Vinv: IntMatrix
     shape: tuple
 
     @property
@@ -140,7 +139,6 @@ def snf(A: IntMatrix) -> SnfResult:
     U = IntMatrix.identity(m)
     Uinv = IntMatrix.identity(m)
     V = IntMatrix.identity(n)
-    Vinv = IntMatrix.identity(n)
 
     def row_add(i, k, q):  # row i += q * row k
         D[i] = [x + q * y for x, y in zip(D[i], D[k])]
@@ -165,14 +163,12 @@ def snf(A: IntMatrix) -> SnfResult:
             D[r][j] += q * D[r][k]
         for r in range(n):
             V.data[r][j] += q * V.data[r][k]
-        Vinv.data[k] = [x - q * y for x, y in zip(Vinv.data[k], Vinv.data[j])]
 
     def col_swap(j, k):
         for r in range(m):
             D[r][j], D[r][k] = D[r][k], D[r][j]
         for r in range(n):
             V.data[r][j], V.data[r][k] = V.data[r][k], V.data[r][j]
-        Vinv.data[j], Vinv.data[k] = Vinv.data[k], Vinv.data[j]
 
     def row_mix(i, j, t):  # rows (i, j) <- t . rows (i, j), det t = 1
         a, b, c, d = t
@@ -195,9 +191,6 @@ def snf(A: IntMatrix) -> SnfResult:
             x, y = V.data[r][i], V.data[r][j]
             V.data[r][i] = a * x + c * y
             V.data[r][j] = b * x + d * y
-        Vinv.data[i], Vinv.data[j] = (
-            [d * x - b * y for x, y in zip(Vinv.data[i], Vinv.data[j])],
-            [-c * x + a * y for x, y in zip(Vinv.data[i], Vinv.data[j])])
 
     def find_pivot(s):
         best = None
@@ -258,7 +251,7 @@ def snf(A: IntMatrix) -> SnfResult:
                     row_neg(i + 1)
                 changed = True
     diag = [D[i][i] for i in range(r) if D[i][i] != 0]
-    return SnfResult(diag, U, V, Uinv, Vinv, (m, n))
+    return SnfResult(diag, U, V, Uinv, (m, n))
 
 
 class LinearSolver:

@@ -962,7 +962,7 @@ def _maps_homotopy_equal(a: LambdaChainMap, b: LambdaChainMap, radius: int):
 
 
 def _equal_on_linearized_homology(a: LambdaChainMap, b: LambdaChainMap):
-    from .chains import system_block_matrix, _finite_order
+    from .chains import system_block_matrix
     src = a.source.linearized()
     tgt = a.target.linearized()
     for d in a.source.degrees():

@@ -25,7 +25,7 @@ from .chains import (
     compose,
 )
 from .groups import GroupModel, RingElem
-from .intlinalg import IntMatrix, LinearSolver, snf
+from .intlinalg import IntMatrix, LinearSolver, mat_vec, snf
 
 
 class ModuleError(ValueError):
@@ -293,8 +293,8 @@ def _stable_torsion_iso(f: ModuleMorphism) -> bool:
     cols = []
     for i, _ in tors_a:
         rep = res_a.Uinv.column(i)
-        img = mat_vec_local(fm, rep)
-        coords = mat_vec_local(res_b.U, img)
+        img = mat_vec(fm, rep)
+        coords = mat_vec(res_b.U, img)
         cols.append([coords[j] for j, _ in tors_b])
     # surjectivity onto the finite torsion group (equal orders => bijective)
     width = len(cols) + len(tors_b)
@@ -311,10 +311,6 @@ def _stable_torsion_iso(f: ModuleMorphism) -> bool:
         if solver.solve(e) is None:
             return False
     return True
-
-
-def mat_vec_local(m: IntMatrix, v):
-    return [sum(a * b for a, b in zip(row, v)) for row in m.data]
 
 
 def derived_equivalence(f: ModuleMorphism, radius: int = 4) -> DerivedVerdict:

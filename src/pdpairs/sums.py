@@ -23,8 +23,9 @@ from .chains import (
     apply_matrix,
     compose,
     embed_ring,
+    int_vec_to_ring,
 )
-from .groups import FreeProduct, RingElem
+from .groups import FreeProduct
 from .intlinalg import IntMatrix, LinearSolver
 from .invariants import (
     compute_nu,
@@ -780,22 +781,5 @@ def _adjust_lifts_for_boundary(skeleton, lift_cols, inp, radius):
 
 def ksolver_kernel_ring(solver: LambdaColumnSolver, model, width):
     """Kernel basis of the column solver, as ring-element vectors."""
-    basis = solver.solver.kernel_basis()
-    out = []
-    if solver.exact:
-        from .chains import int_vec_to_ring
-        for v in basis:
-            out.append(int_vec_to_ring(model, solver.elems, v, width))
-    else:
-        ns = len(solver.support)
-        for v in basis:
-            vec = []
-            for j in range(width):
-                support = {}
-                for gi, g in enumerate(solver.support):
-                    c = v[j * ns + gi]
-                    if c:
-                        support[g] = c
-                vec.append(RingElem(model, support))
-            out.append(vec)
-    return out
+    return [int_vec_to_ring(model, solver.support, v, width)
+            for v in solver.solver.kernel_basis()]

@@ -3,9 +3,10 @@
 Nothing here shares code with the package's elimination engine: invariant
 factors come from the classical minors-gcd characterization (determinants
 via fraction-free Bareiss), and homology comes from a from-scratch
-xgcd-based kernel computation.  The one exception is
-sparse_solve_reference, a reference for pivot order rather than an
-independent oracle: it finishes its residual core with the package's dense
+xgcd-based kernel computation.  Two exceptions are references for a
+solver's choices rather than independent oracles: sparse_solve_reference
+finishes its residual core with the package's dense LinearSolver, and
+column_solve_reference solves with the package's system_block_matrix and
 LinearSolver.
 """
 
@@ -255,3 +256,25 @@ def sparse_solve_reference(rows, ncols, rhs):
             acc -= vv * solution[cc]
         solution[c] = val * acc  # val is +-1, so this is division
     return solution
+
+
+def column_solve_reference(m, b):
+    """Solve apply_matrix(m, x) = b over a finite model on the full regular
+    representation, one integer block row per row of m, zero rows included.
+
+    This is how LambdaColumnSolver solved over finite models before its one
+    build: where m has no zero row, the two must return the same vector.
+    """
+    from pdpairs.chains import system_block_matrix
+    from pdpairs.groups import RingElem
+    from pdpairs.intlinalg import LinearSolver
+    model = m.model
+    elems = model.ball(0)
+    rhs = [r.support.get(g, 0) for r in b for g in elems]
+    x = LinearSolver(system_block_matrix(m)).solve(rhs)
+    if x is None:
+        return None
+    n = len(elems)
+    return [RingElem(model, {g: x[j * n + k] for k, g in enumerate(elems)
+                             if x[j * n + k]})
+            for j in range(m.cols)]

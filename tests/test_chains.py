@@ -19,12 +19,9 @@ from pdpairs.chains import (
     find_contraction,
     induce_Lk,
     is_nullhomotopic,
-    linearize,
     mapping_cone,
-    matmul,
     system_block_matrix,
     verify_contraction,
-    PLAIN,
 )
 from pdpairs.groups import (
     FiniteTable,
@@ -33,7 +30,9 @@ from pdpairs.groups import (
     InfiniteCyclic,
     TrivialGroup,
 )
-from pdpairs.intlinalg import IntMatrix, mat_mul
+from pdpairs.intlinalg import IntMatrix, mat_mul, mat_vec
+
+from oracles import column_solve_reference
 
 
 def ring(model, *terms):
@@ -103,15 +102,16 @@ def test_complex_rejects_broken_boundary():
                        2: LambdaMatrix.from_rows(z, [[t + 1]])})
 
 
-def test_compose_vs_matmul_nonabelian():
+def test_compose_order_nonabelian():
     s3 = FiniteTable.symmetric3()
     r = s3.unit(1)
     s = s3.unit(3)
+    assert r * s != s * r
     a = LambdaMatrix.from_rows(s3, [[r]])
     b = LambdaMatrix.from_rows(s3, [[s]])
-    # compose multiplies inner first: entry = s * r; matmul gives r * s.
+    # compose multiplies inner first: the entry of a . b is s * r
     assert compose(a, b).data[0][0] == s * r
-    assert matmul(a, b).data[0][0] == r * s
+    assert compose(b, a).data[0][0] == r * s
 
 
 def test_apply_matrix_matches_compose():
@@ -170,10 +170,13 @@ def test_tensor_zomega_functorial_on_identity():
 def test_linearize_regular_representation():
     s2 = FiniteTable.cyclic(2, "s")
     m = LambdaMatrix.from_rows(s2, [[s2.one() + s2.unit(1)]])
-    assert linearize(m, PLAIN).data == [[1, 1], [1, 1]]
+    assert system_block_matrix(m).data == [[1, 1], [1, 1]]
+    # right multiplication by s swaps the two basis vectors
+    m1 = LambdaMatrix.from_rows(s2, [[s2.unit(1)]])
+    assert system_block_matrix(m1).data == [[0, 1], [1, 0]]
     triv = TrivialGroup()
     m2 = LambdaMatrix.from_int_rows(triv, [[3, -1]])
-    assert linearize(m2, PLAIN).data == [[3, -1]]
+    assert system_block_matrix(m2).data == [[3, -1]]
 
 
 def test_linearize_multiplicative_nonabelian():
@@ -188,7 +191,8 @@ def test_linearize_multiplicative_nonabelian():
 
     for _ in range(5):
         a, b = rand_mat(), rand_mat()
-        assert linearize(matmul(a, b)) == mat_mul(linearize(a), linearize(b))
+        assert system_block_matrix(compose(a, b)) == mat_mul(
+            system_block_matrix(a), system_block_matrix(b))
 
 
 def test_system_blocks_match_apply_nonabelian():
@@ -199,12 +203,10 @@ def test_system_blocks_match_apply_nonabelian():
              for _ in range(2)])
     x = [ring(s3, (1, rng.randrange(6)), (-2, rng.randrange(6)))
          for _ in range(2)]
-    from pdpairs.chains import _finite_order, ring_vec_to_int, int_vec_to_ring
-    elems = _finite_order(s3)
-    index = {g: i for i, g in enumerate(elems)}
-    xi = ring_vec_to_int(s3, elems, index, x)
-    yi = [sum(a * b for a, b in zip(row, xi))
-          for row in system_block_matrix(m).data]
+    from pdpairs.chains import int_vec_to_ring
+    elems = s3.ball(0)
+    xi = [r.support.get(g, 0) for r in x for g in elems]
+    yi = mat_vec(system_block_matrix(m), xi)
     assert int_vec_to_ring(s3, elems, yi, 2) == apply_matrix(m, x)
 
 
@@ -230,6 +232,61 @@ def test_column_solver_bounded_infinite():
     assert sol is not None
     assert apply_matrix(m, sol) == [t - 2 + z.unit(-1)]
     assert solver.solve([z.one()]) is None
+
+
+def test_column_solver_rejects_wrong_length():
+    z = InfiniteCyclic("t")
+    g3 = FiniteTable.cyclic(3, "g")
+    for model in (z, g3):
+        m = LambdaMatrix.from_rows(model, [[model.unit(1) - 1],
+                                           [model.one()]])
+        solver = LambdaColumnSolver(m, radius=2)
+        for b in ([model.one()], [model.zero()] * 3):
+            with pytest.raises(ChainError, match="shape mismatch"):
+                solver.solve(b)
+
+
+def _random_column_system(rng, model):
+    """A small matrix over a finite model, a zero row now and then, and a
+    right-hand side that is solvable half of the time."""
+    elems = model.ball(0)
+    rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+
+    def entry():
+        if rng.random() < 0.3:
+            return model.zero()
+        return ring(model, *[(rng.randint(-2, 2), rng.choice(elems))
+                             for _ in range(rng.randint(1, 2))])
+
+    m = LambdaMatrix.from_rows(model, [[entry() for _ in range(cols)]
+                                       for _ in range(rows)])
+    if rng.random() < 0.5:
+        b = apply_matrix(m, [entry() for _ in range(cols)])
+    else:
+        b = [entry() for _ in range(rows)]
+    return m, b
+
+
+def test_column_solver_matches_block_matrix_reference():
+    rng = random.Random(2024)
+    models = [FiniteTable.cyclic(2, "s"), FiniteTable.cyclic(3, "g"),
+              FiniteTable.cyclic(5, "g"), FiniteTable.symmetric3()]
+    same = zero_row = solved = 0
+    for trial in range(240):
+        model = models[trial % len(models)]
+        m, b = _random_column_system(rng, model)
+        got = LambdaColumnSolver(m).solve(b)
+        want = column_solve_reference(m, b)
+        solved += got is not None
+        if not any(all(e.is_zero() for e in row) for row in m.data):
+            assert got == want
+            same += 1
+            continue
+        zero_row += 1
+        assert (got is None) == (want is None)
+        for x in (got, want):
+            assert x is None or apply_matrix(m, x) == b
+    assert same > 150 and zero_row > 20 and solved > 100
 
 
 def test_chain_map_validation_and_shift_sign():
@@ -354,14 +411,3 @@ def test_tensor_zomega_functorial_on_composition():
         from pdpairs.intlinalg import mat_mul
         assert lhs == mat_mul(a, b)
 
-
-def test_linearize_bar_twists_honor_involution():
-    s2 = FiniteTable.cyclic(2, "s", omega_gen=1)
-    s = s2.unit(1)
-    m = LambdaMatrix.from_rows(s2, [[s]])
-    from pdpairs.chains import BAR_LEFT, BAR_RIGHT
-    # bar(s) = -s^-1 = -s, so both twisted blocks are the negated swap
-    for twist in (BAR_LEFT, BAR_RIGHT):
-        block = linearize(m, twist)
-        assert block.data == [[0, -1], [-1, 0]]
-    assert linearize(m, PLAIN).data == [[0, 1], [1, 0]]

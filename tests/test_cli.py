@@ -1,5 +1,11 @@
-"""CLI subcommands, exit codes, JSON schema."""
+"""CLI subcommands, exit codes, JSON schema.
 
+``PYTHONPATH=src python tests/test_cli.py`` re-records ``tests/golden/cli.json`` from the
+current tree; do that only for a change that means to alter the JSON.
+"""
+
+import contextlib
+import io
 import json
 import pathlib
 
@@ -9,6 +15,7 @@ from pdpairs.cli import main
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "src" / "pdpairs" \
     / "fixtures"
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "cli.json"
 
 
 def fx(name):
@@ -136,3 +143,51 @@ def test_catalog_command(capsys):
     out = capsys.readouterr().out
     assert "all entries as expected" in out
     assert "broken-noncycle-class" in out
+
+
+def golden_runs():
+    """Every JSON-producing command whose output the golden file pins."""
+    runs = [[cmd, f.name, "--json"]
+            for f in sorted(FIXTURES.glob("*.pdp"))
+            for cmd in ("verify", "homology", "nu", "realize")]
+    runs.append(["sum", "solid_torus.pdp", "solid_torus.pdp",
+                 "--boundary", "torus", "torus", "--json"])
+    runs.append(["catalog", "--json"])
+    return runs
+
+
+def _strip_timings(data):
+    if isinstance(data, dict):
+        return {k: _strip_timings(v) for k, v in data.items()
+                if k not in ("timings", "seconds")}
+    if isinstance(data, list):
+        return [_strip_timings(v) for v in data]
+    return data
+
+
+def run_for_golden(argv):
+    """Exit code and parsed JSON (timings stripped; None without output)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main([fx(a) if a.endswith(".pdp") else a for a in argv])
+    text = out.getvalue()
+    return {"exit": code,
+            "json": _strip_timings(json.loads(text)) if text else None}
+
+
+def record_golden():
+    runs = {" ".join(argv): run_for_golden(argv) for argv in golden_runs()}
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(runs, indent=1, sort_keys=True) + "\n")
+
+
+def test_cli_json_matches_golden():
+    golden = json.loads(GOLDEN.read_text())
+    assert sorted(golden) == sorted(" ".join(a) for a in golden_runs())
+    for argv in golden_runs():
+        assert run_for_golden(argv) == golden[" ".join(argv)], argv
+
+
+if __name__ == "__main__":
+    record_golden()
