@@ -3,17 +3,19 @@
 Everything here is pure arbitrary-precision integer arithmetic: Smith normal
 form with unimodular witnesses, kernel bases, integral linear solving, and
 homology of integer chain complexes.  IntMatrix is a dense list of rows and
-backs the Smith form; a LinearSolver caches one SNF so repeated solves
-against the same matrix are cheap, and applies its witnesses to the nonzero
-entries of each right-hand side only.  sparse_solve takes rows as dicts,
-eliminates unit pivots in Markowitz order from a candidate heap, and hands
-only the residual core to the dense Smith form.
+backs the Smith form, whose steps touch only the entries they change and
+which builds Uinv only for a caller that reads it.  A LinearSolver caches
+one SNF so repeated solves against the same matrix are cheap; it, and
+homology_at, work over nonzero entries only.  sparse_solve takes rows as
+dicts, eliminates unit pivots in Markowitz order from a candidate heap, and
+hands only the residual core to the dense Smith form.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 @dataclass
@@ -59,29 +61,12 @@ class IntMatrix:
     def columns(self):
         return [self.column(j) for j in range(self.cols)]
 
-    def transpose(self):
-        return IntMatrix(self.cols, self.rows,
-                         [[self.data[i][j] for i in range(self.rows)]
-                          for j in range(self.cols)])
-
-    def is_zero(self):
-        return all(all(x == 0 for x in row) for row in self.data)
-
     def __eq__(self, other):
         return (isinstance(other, IntMatrix) and other.rows == self.rows
                 and other.cols == self.cols and other.data == self.data)
 
     def __repr__(self):
         return f"IntMatrix({self.rows}x{self.cols})"
-
-
-def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    if a.cols != b.rows:
-        raise ValueError("shape mismatch")
-    bt = b.transpose().data
-    out = [[sum(x * y for x, y in zip(row, col)) for col in bt]
-           for row in a.data]
-    return IntMatrix(a.rows, b.cols, out)
 
 
 def mat_vec(a: IntMatrix, v) -> list:
@@ -95,25 +80,40 @@ class SnfResult:
     """U * A * V = D with D diagonal in divisibility order.
 
     diag lists only the nonzero invariant factors; rank == len(diag).
-    Uinv is maintained alongside, so a left witness can be inverted without
-    any further elimination.
+    row_ops logs the elimination's row operations in order, as (kind, i,
+    k, arg) with kind "add", "swap", "neg" or "mix".  Uinv is built on the
+    first read, by replaying the log on the identity, and then kept.
     """
 
     diag: list
     U: IntMatrix
     V: IntMatrix
-    Uinv: IntMatrix
     shape: tuple
+    row_ops: list = field(repr=False)
 
     @property
     def rank(self):
         return len(self.diag)
 
-    def diagonal_matrix(self) -> IntMatrix:
-        m = IntMatrix.zero(*self.shape)
-        for i, d in enumerate(self.diag):
-            m.data[i][i] = d
-        return m
+    @cached_property
+    def Uinv(self) -> IntMatrix:
+        # row operation E on U is the column operation E^-1 on Uinv; keep
+        # Uinv as its list of columns, so each step is one comprehension
+        m = self.shape[0]
+        cols = IntMatrix.identity(m).data
+        for kind, i, k, arg in self.row_ops:
+            if kind == "add":  # row i += q * row k
+                cols[k] = [x - arg * y for x, y in zip(cols[k], cols[i])]
+            elif kind == "swap":
+                cols[i], cols[k] = cols[k], cols[i]
+            elif kind == "neg":
+                cols[i] = [-x for x in cols[i]]
+            else:  # rows (i, k) <- t . rows (i, k), t = (a, b, c, d)
+                a, b, c, d = arg
+                ci, ck = cols[i], cols[k]
+                cols[i] = [x * d - y * c for x, y in zip(ci, ck)]
+                cols[k] = [-x * b + y * a for x, y in zip(ci, ck)]
+        return IntMatrix(m, m, [list(r) for r in zip(*cols)])
 
 
 def _xgcd(a, b):
@@ -133,64 +133,62 @@ def snf(A: IntMatrix) -> SnfResult:
     for the next round; this is the classical growth-tamed scheme.  The
     divisibility chain is then enforced with closed-form Bezout 2x2
     transforms, so no Euclidean loop ever runs on grown entries.
+
+    Each operation touches only what it can change.  Row operations update
+    D and U and are logged for SnfResult.Uinv.  Rows above the pivot are
+    zero off the diagonal, so a column swap of D runs over the working
+    rows, a Bezout column mix over its two rows, and a column addition that
+    clears row s (column s is then zero below the pivot) changes D[s][j]
+    alone.  V is kept as its list of columns.
     """
     m, n = A.rows, A.cols
     D = [row[:] for row in A.data]
-    U = IntMatrix.identity(m)
-    Uinv = IntMatrix.identity(m)
-    V = IntMatrix.identity(n)
+    U = IntMatrix.identity(m).data
+    Vcols = IntMatrix.identity(n).data
+    log = []
 
     def row_add(i, k, q):  # row i += q * row k
         D[i] = [x + q * y for x, y in zip(D[i], D[k])]
-        U.data[i] = [x + q * y for x, y in zip(U.data[i], U.data[k])]
-        for r in range(m):
-            Uinv.data[r][k] -= q * Uinv.data[r][i]
+        U[i] = [x + q * y for x, y in zip(U[i], U[k])]
+        log.append(("add", i, k, q))
 
     def row_swap(i, k):
         D[i], D[k] = D[k], D[i]
-        U.data[i], U.data[k] = U.data[k], U.data[i]
-        for r in range(m):
-            Uinv.data[r][i], Uinv.data[r][k] = Uinv.data[r][k], Uinv.data[r][i]
+        U[i], U[k] = U[k], U[i]
+        log.append(("swap", i, k, None))
 
     def row_neg(i):
         D[i] = [-x for x in D[i]]
-        U.data[i] = [-x for x in U.data[i]]
-        for r in range(m):
-            Uinv.data[r][i] = -Uinv.data[r][i]
-
-    def col_add(j, k, q):  # col j += q * col k
-        for r in range(m):
-            D[r][j] += q * D[r][k]
-        for r in range(n):
-            V.data[r][j] += q * V.data[r][k]
-
-    def col_swap(j, k):
-        for r in range(m):
-            D[r][j], D[r][k] = D[r][k], D[r][j]
-        for r in range(n):
-            V.data[r][j], V.data[r][k] = V.data[r][k], V.data[r][j]
+        U[i] = [-x for x in U[i]]
+        log.append(("neg", i, i, None))
 
     def row_mix(i, j, t):  # rows (i, j) <- t . rows (i, j), det t = 1
         a, b, c, d = t
         D[i], D[j] = ([a * x + b * y for x, y in zip(D[i], D[j])],
                       [c * x + d * y for x, y in zip(D[i], D[j])])
-        U.data[i], U.data[j] = (
-            [a * x + b * y for x, y in zip(U.data[i], U.data[j])],
-            [c * x + d * y for x, y in zip(U.data[i], U.data[j])])
-        for r in range(m):
-            x, y = Uinv.data[r][i], Uinv.data[r][j]
-            Uinv.data[r][i] = x * d - y * c
-            Uinv.data[r][j] = -x * b + y * a
+        U[i], U[j] = ([a * x + b * y for x, y in zip(U[i], U[j])],
+                      [c * x + d * y for x, y in zip(U[i], U[j])])
+        log.append(("mix", i, j, t))
+
+    def col_swap(s, k):  # rows above s are zero in columns s and k >= s
+        for r in range(s, m):
+            row = D[r]
+            row[s], row[k] = row[k], row[s]
+        Vcols[s], Vcols[k] = Vcols[k], Vcols[s]
+
+    def col_add(s, j, q):  # col j += q * col s, col s zero off row s
+        D[s][j] += q * D[s][s]
+        Vcols[j] = [x + q * y for x, y in zip(Vcols[j], Vcols[s])]
+
     def col_mix(i, j, t):  # cols (i, j) <- cols (i, j) . t^T style, det 1
-        a, b, c, d = t
-        for r in range(m):
-            x, y = D[r][i], D[r][j]
-            D[r][i] = a * x + c * y
-            D[r][j] = b * x + d * y
-        for r in range(n):
-            x, y = V.data[r][i], V.data[r][j]
-            V.data[r][i] = a * x + c * y
-            V.data[r][j] = b * x + d * y
+        a, b, c, d = t  # D is diagonal but for the 2x2 block at (i, j)
+        for row in (D[i], D[j]):
+            x, y = row[i], row[j]
+            row[i] = a * x + c * y
+            row[j] = b * x + d * y
+        x, y = Vcols[i], Vcols[j]
+        Vcols[i] = [a * p + c * q for p, q in zip(x, y)]
+        Vcols[j] = [b * p + d * q for p, q in zip(x, y)]
 
     def find_pivot(s):
         best = None
@@ -217,14 +215,16 @@ def snf(A: IntMatrix) -> SnfResult:
         clean = True
         for i in range(s + 1, m):
             if D[i][s] != 0:
-                row_add(i, s, -(D[i][s] // D[s][s]))
+                q = -(D[i][s] // D[s][s])
+                if q:
+                    row_add(i, s, q)
                 if D[i][s] != 0:
                     clean = False
         if not clean:
             continue  # a strictly smaller remainder exists; re-pivot
         for j in range(s + 1, n):
             if D[s][j] != 0:
-                col_add(j, s, -(D[s][j] // D[s][s]))
+                col_add(s, j, -(D[s][j] // D[s][s]))
                 if D[s][j] != 0:
                     clean = False
         if not clean:
@@ -251,7 +251,8 @@ def snf(A: IntMatrix) -> SnfResult:
                     row_neg(i + 1)
                 changed = True
     diag = [D[i][i] for i in range(r) if D[i][i] != 0]
-    return SnfResult(diag, U, V, Uinv, (m, n))
+    V = IntMatrix(n, n, [list(row) for row in zip(*Vcols)])
+    return SnfResult(diag, IntMatrix(m, m, U), V, (m, n), log)
 
 
 class LinearSolver:
@@ -292,10 +293,6 @@ class LinearSolver:
         return [res.V.column(j) for j in range(res.rank, self.A.cols)]
 
 
-def solve_integral(A: IntMatrix, b):
-    return LinearSolver(A).solve(b)
-
-
 @dataclass
 class HomologyGroup:
     free_rank: int
@@ -321,7 +318,10 @@ def homology_at(d_in: IntMatrix, d_out: IntMatrix) -> HomologyGroup:
     """
     if d_in.rows != d_out.cols:
         raise ValueError("shape mismatch: d_out . d_in undefined")
-    if not mat_mul(d_out, d_in).is_zero():
+    in_nz = [[(i, x) for i, x in enumerate(col) if x]
+             for col in d_in.columns()]
+    if any(sum(row[i] * x for i, x in nz) for row in d_out.data
+           for nz in in_nz if nz):
         raise ValueError("not a complex: d_out . d_in != 0")
     out_solver = LinearSolver(d_out)
     kernel = out_solver.kernel_basis()
@@ -340,15 +340,13 @@ def homology_at(d_in: IntMatrix, d_out: IntMatrix) -> HomologyGroup:
     yres = snf(Y)
     free_rank = k - yres.rank
     torsion = [d for d in yres.diag if d > 1]
-    # Generators in the new coordinates are columns of Uinv; pull back via K.
-    free_gens = []
-    torsion_gens = []
-    for i in range(k):
-        gen = mat_vec(K, yres.Uinv.column(i))
-        if i >= yres.rank:
-            free_gens.append(gen)
-        elif yres.diag[i] > 1:
-            torsion_gens.append(gen)
+
+    def pull_back(i):  # generator i in the new coordinates is Uinv[:, i]
+        u_nz = [(l, c) for l, c in enumerate(yres.Uinv.column(i)) if c]
+        return [sum(row[l] * c for l, c in u_nz) for row in K.data]
+
+    free_gens = [pull_back(i) for i in range(yres.rank, k)]
+    torsion_gens = [pull_back(i) for i, d in enumerate(yres.diag) if d > 1]
     return HomologyGroup(free_rank, torsion, free_gens, torsion_gens)
 
 

@@ -3,11 +3,15 @@
 Nothing here shares code with the package's elimination engine: invariant
 factors come from the classical minors-gcd characterization (determinants
 via fraction-free Bareiss), and homology comes from a from-scratch
-xgcd-based kernel computation.  Two exceptions are references for a
-solver's choices rather than independent oracles: sparse_solve_reference
-finishes its residual core with the package's dense LinearSolver, and
-column_solve_reference solves with the package's system_block_matrix and
-LinearSolver.
+xgcd-based kernel computation.  Some functions are references for a
+solver's choices rather than independent oracles: snf_reference and
+homology_at_reference are the Smith form and homology as they were before
+the package's versions stopped forming Uinv during the elimination (same
+pivots, same witnesses); sparse_solve_reference finishes its residual core
+with the package's dense LinearSolver; column_solve_reference solves with
+the package's system_block_matrix and LinearSolver.  The dense matrix
+helpers (mat_mul, transpose, is_zero, diagonal_matrix, solve_integral)
+serve the tests only.
 """
 
 import itertools
@@ -278,3 +282,223 @@ def column_solve_reference(m, b):
     return [RingElem(model, {g: x[j * n + k] for k, g in enumerate(elems)
                              if x[j * n + k]})
             for j in range(m.cols)]
+
+
+def transpose(a):
+    from pdpairs.intlinalg import IntMatrix
+    return IntMatrix(a.cols, a.rows,
+                     [[a.data[i][j] for i in range(a.rows)]
+                      for j in range(a.cols)])
+
+
+def is_zero(a):
+    return all(all(x == 0 for x in row) for row in a.data)
+
+
+def mat_mul(a, b):
+    """Dense product of two IntMatrix values."""
+    from pdpairs.intlinalg import IntMatrix
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch")
+    bt = transpose(b).data
+    out = [[sum(x * y for x, y in zip(row, col)) for col in bt]
+           for row in a.data]
+    return IntMatrix(a.rows, b.cols, out)
+
+
+def diagonal_matrix(res):
+    """The D of U * A * V = D for an intlinalg.SnfResult."""
+    from pdpairs.intlinalg import IntMatrix
+    m = IntMatrix.zero(*res.shape)
+    for i, d in enumerate(res.diag):
+        m.data[i][i] = d
+    return m
+
+
+def solve_integral(A, b):
+    from pdpairs.intlinalg import LinearSolver
+    return LinearSolver(A).solve(b)
+
+
+def snf_reference(A):
+    """intlinalg.snf as it was when every operation updated the dense
+    witnesses, Uinv included: returns (diag, U, V, Uinv).
+
+    The package's snf must make the same pivots and quotients in the same
+    order, and so return the same four matrices.
+    """
+    from pdpairs.intlinalg import IntMatrix
+    m, n = A.rows, A.cols
+    D = [row[:] for row in A.data]
+    U = IntMatrix.identity(m)
+    Uinv = IntMatrix.identity(m)
+    V = IntMatrix.identity(n)
+
+    def row_add(i, k, q):  # row i += q * row k
+        D[i] = [x + q * y for x, y in zip(D[i], D[k])]
+        U.data[i] = [x + q * y for x, y in zip(U.data[i], U.data[k])]
+        for r in range(m):
+            Uinv.data[r][k] -= q * Uinv.data[r][i]
+
+    def row_swap(i, k):
+        D[i], D[k] = D[k], D[i]
+        U.data[i], U.data[k] = U.data[k], U.data[i]
+        for r in range(m):
+            Uinv.data[r][i], Uinv.data[r][k] = Uinv.data[r][k], Uinv.data[r][i]
+
+    def row_neg(i):
+        D[i] = [-x for x in D[i]]
+        U.data[i] = [-x for x in U.data[i]]
+        for r in range(m):
+            Uinv.data[r][i] = -Uinv.data[r][i]
+
+    def col_add(j, k, q):  # col j += q * col k
+        for r in range(m):
+            D[r][j] += q * D[r][k]
+        for r in range(n):
+            V.data[r][j] += q * V.data[r][k]
+
+    def col_swap(j, k):
+        for r in range(m):
+            D[r][j], D[r][k] = D[r][k], D[r][j]
+        for r in range(n):
+            V.data[r][j], V.data[r][k] = V.data[r][k], V.data[r][j]
+
+    def row_mix(i, j, t):  # rows (i, j) <- t . rows (i, j), det t = 1
+        a, b, c, d = t
+        D[i], D[j] = ([a * x + b * y for x, y in zip(D[i], D[j])],
+                      [c * x + d * y for x, y in zip(D[i], D[j])])
+        U.data[i], U.data[j] = (
+            [a * x + b * y for x, y in zip(U.data[i], U.data[j])],
+            [c * x + d * y for x, y in zip(U.data[i], U.data[j])])
+        for r in range(m):
+            x, y = Uinv.data[r][i], Uinv.data[r][j]
+            Uinv.data[r][i] = x * d - y * c
+            Uinv.data[r][j] = -x * b + y * a
+
+    def col_mix(i, j, t):  # cols (i, j) <- cols (i, j) . t^T style, det 1
+        a, b, c, d = t
+        for r in range(m):
+            x, y = D[r][i], D[r][j]
+            D[r][i] = a * x + c * y
+            D[r][j] = b * x + d * y
+        for r in range(n):
+            x, y = V.data[r][i], V.data[r][j]
+            V.data[r][i] = a * x + c * y
+            V.data[r][j] = b * x + d * y
+
+    def find_pivot(s):
+        best = None
+        for i in range(s, m):
+            row = D[i]
+            for j in range(s, n):
+                x = row[j]
+                if x != 0 and (best is None or abs(x) < best[0]):
+                    best = (abs(x), i, j)
+                    if abs(x) == 1:
+                        return best
+        return best
+
+    s = 0
+    while s < m and s < n:
+        piv = find_pivot(s)
+        if piv is None:
+            break
+        _, pi, pj = piv
+        if pi != s:
+            row_swap(s, pi)
+        if pj != s:
+            col_swap(s, pj)
+        clean = True
+        for i in range(s + 1, m):
+            if D[i][s] != 0:
+                row_add(i, s, -(D[i][s] // D[s][s]))
+                if D[i][s] != 0:
+                    clean = False
+        if not clean:
+            continue  # a strictly smaller remainder exists; re-pivot
+        for j in range(s + 1, n):
+            if D[s][j] != 0:
+                col_add(j, s, -(D[s][j] // D[s][s]))
+                if D[s][j] != 0:
+                    clean = False
+        if not clean:
+            continue
+        if D[s][s] < 0:
+            row_neg(s)
+        s += 1
+
+    # Enforce the divisibility chain with one Bezout transform per bad pair.
+    r = s
+    changed = True
+    while changed:
+        changed = False
+        for i in range(r - 1):
+            a, b = D[i][i], D[i + 1][i + 1]
+            if a != 0 and b % a != 0:
+                g, x, y = xgcd(a, b)
+                # diag(a, b) -> diag(g, a b / g) by unimodular 2x2 mixes
+                row_mix(i, i + 1, (x, y, -(b // g), a // g))
+                col_mix(i, i + 1, (1, -(b // g) * y, 1, (a // g) * x))
+                if D[i][i] < 0:
+                    row_neg(i)
+                if D[i + 1][i + 1] < 0:
+                    row_neg(i + 1)
+                changed = True
+    diag = [D[i][i] for i in range(r) if D[i][i] != 0]
+    return diag, U, V, Uinv
+
+
+def _solve_with_reference(A, witnesses, b):
+    """LinearSolver.solve on snf_reference witnesses: dense U b and V y."""
+    from pdpairs.intlinalg import mat_vec
+    diag, U, V, _ = witnesses
+    c = mat_vec(U, b)
+    y = [0] * A.cols
+    for i in range(A.rows):
+        if i < len(diag):
+            if c[i] % diag[i] != 0:
+                return None
+            y[i] = c[i] // diag[i]
+        elif c[i] != 0:
+            return None
+    return mat_vec(V, y)
+
+
+def homology_at_reference(d_in, d_out):
+    """intlinalg.homology_at as it was: a dense d_out * d_in check, dense
+    pull-backs K * Uinv[:, i], every Smith form from snf_reference.
+
+    Returns (free_rank, torsion, free_generators, torsion_generators).
+    """
+    from pdpairs.intlinalg import IntMatrix, mat_vec
+    if d_in.rows != d_out.cols:
+        raise ValueError("shape mismatch: d_out . d_in undefined")
+    if not is_zero(mat_mul(d_out, d_in)):
+        raise ValueError("not a complex: d_out . d_in != 0")
+    diag, _, V, _ = snf_reference(d_out)
+    kernel = [V.column(j) for j in range(len(diag), d_out.cols)]
+    k = len(kernel)
+    if k == 0:
+        return 0, [], [], []
+    K = IntMatrix.from_columns(kernel, rows=d_out.cols)
+    kwit = snf_reference(K)
+    ycols = []
+    for j in range(d_in.cols):
+        y = _solve_with_reference(K, kwit, d_in.column(j))
+        if y is None:
+            raise ValueError("image does not lie in kernel")
+        ycols.append(y)
+    Y = IntMatrix.from_columns(ycols, rows=k)
+    ydiag, _, _, yUinv = snf_reference(Y)
+    free_rank = k - len(ydiag)
+    torsion = [d for d in ydiag if d > 1]
+    free_gens = []
+    torsion_gens = []
+    for i in range(k):
+        gen = mat_vec(K, yUinv.column(i))
+        if i >= len(ydiag):
+            free_gens.append(gen)
+        elif ydiag[i] > 1:
+            torsion_gens.append(gen)
+    return free_rank, torsion, free_gens, torsion_gens

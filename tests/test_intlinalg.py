@@ -7,21 +7,30 @@ minors.  It shares no code with the elimination engine.
 
 import itertools
 import math
+import pathlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import bareiss_det, sparse_solve_reference
+from oracles import (
+    bareiss_det,
+    diagonal_matrix,
+    homology_at_reference,
+    kernel_basis_oracle,
+    mat_mul,
+    snf_reference,
+    solve_integral,
+    sparse_solve_reference,
+)
+from pdpairs.dsl import ParseError, SemanticError, load_scenario
 from pdpairs.intlinalg import (
     HomologyGroup,
     IntMatrix,
     LinearSolver,
     homology_at,
-    mat_mul,
     mat_vec,
     snf,
-    solve_integral,
     sparse_solve,
 )
 
@@ -65,7 +74,7 @@ def minors_gcd_invariant_factors(M: IntMatrix):
 
 
 def check_witnesses(A: IntMatrix, res):
-    D = res.diagonal_matrix()
+    D = diagonal_matrix(res)
     assert mat_mul(mat_mul(res.U, A), res.V) == D
     assert mat_mul(res.U, res.Uinv) == IntMatrix.identity(A.rows)
     assert mat_mul(res.Uinv, res.U) == IntMatrix.identity(A.rows)
@@ -308,3 +317,130 @@ def test_sparse_solve_matches_full_scan_reference(kind):
         assert unsolved > solved
     else:
         assert solved > 0
+
+
+def _random_snf_input(rng, kind):
+    """An IntMatrix of one of the shapes snf meets."""
+    if kind == "empty":
+        m, n = rng.choice([(0, rng.randint(0, 5)), (rng.randint(0, 5), 0)])
+        return IntMatrix.zero(m, n)
+    if kind == "incidence":
+        m, n = rng.randint(20, 150), rng.randint(20, 100)
+        density = rng.choice([2, 3, 5]) / n
+        return IntMatrix.from_rows(
+            [[rng.choice([1, -1]) if rng.random() < density else 0
+              for _ in range(n)] for _ in range(m)])
+    m, n = rng.randint(1, 9), rng.randint(1, 9)
+    # non-unit entries make remainders (re-pivots) and a Bezout phase
+    values = [0, 0, 2, -2, 3, 4, -6, 9, 10, -15, 1]
+    rows = [[rng.choice(values) for _ in range(n)] for _ in range(m)]
+    if kind == "zero-lines":
+        for i in rng.sample(range(m), m // 2):
+            rows[i] = [0] * n
+        for j in rng.sample(range(n), n // 2):
+            for row in rows:
+                row[j] = 0
+    return IntMatrix.from_rows(rows)
+
+
+@pytest.mark.parametrize("kind", ["non-unit", "zero-lines", "empty",
+                                  "incidence"])
+def test_snf_matches_reference(kind):
+    rng = random.Random(f"snf-{kind}")
+    non_unit = 0
+    for _ in range(8 if kind == "incidence" else 150):
+        A = _random_snf_input(rng, kind)
+        before = A.copy()
+        res = snf(A)
+        assert A == before  # the input is left alone
+        diag, U, V, Uinv = snf_reference(A)
+        assert (res.diag, res.U, res.V) == (diag, U, V)
+        first = res.Uinv
+        assert first == Uinv
+        assert res.Uinv == first
+        non_unit += any(d > 1 for d in diag)
+    if kind == "non-unit":
+        assert non_unit > 50  # invariant factors other than 1 came up
+
+
+def _random_complex(rng):
+    """(d2, d1) with d1 * d2 = 0: d2's columns are random combinations of
+    a kernel basis of d1, so the middle homology has torsion as a rule."""
+    n0, n1 = rng.randint(0, 4), rng.randint(1, 7)
+    d1_rows = [[rng.choice([0, 0, 1, -1, 2, 3]) for _ in range(n1)]
+               for _ in range(n0)]
+    kernel = (kernel_basis_oracle(d1_rows, n0, n1) if n0
+              else [[int(i == j) for i in range(n1)] for j in range(n1)])
+    n2 = rng.randint(0, 5)
+    cols = []
+    for _ in range(n2):
+        coeffs = [rng.choice([0, 1, -2, 3, 4, 6]) for _ in kernel]
+        cols.append([sum(c * v[i] for c, v in zip(coeffs, kernel))
+                     for i in range(n1)])
+    d1 = IntMatrix.from_rows(d1_rows) if n0 else IntMatrix.zero(0, n1)
+    return IntMatrix.from_columns(cols, rows=n1), d1
+
+
+def _assert_homology_matches_reference(d_in, d_out):
+    h = homology_at(d_in, d_out)
+    assert (h.free_rank, h.torsion, h.free_generators,
+            h.torsion_generators) == homology_at_reference(d_in, d_out)
+    return h
+
+
+def test_homology_at_matches_reference_on_random_complexes():
+    rng = random.Random("homology-at")
+    torsion = 0
+    for _ in range(150):
+        d2, d1 = _random_complex(rng)
+        h = _assert_homology_matches_reference(d2, d1)
+        torsion += bool(h.torsion)
+        _assert_homology_matches_reference(IntMatrix.zero(d1.cols, 0), d1)
+        _assert_homology_matches_reference(
+            d2, IntMatrix.zero(0, d2.rows))
+    assert torsion > 20
+
+
+def _fixture_int_complexes():
+    fixtures = pathlib.Path(__file__).resolve().parents[1] / "src" \
+        / "pdpairs" / "fixtures"
+    for path in sorted(fixtures.glob("*.pdp")):
+        try:
+            scenario = load_scenario(path.read_text())
+        except (ParseError, SemanticError):
+            continue
+        for name, pair in scenario.pairs.items():
+            for part in ("P", "D", "Q"):
+                lam = getattr(pair, part)
+                yield f"{path.stem}.{name}.{part}.Zw", lam.tensor_Zomega()
+                if lam.model.is_finite():
+                    yield f"{path.stem}.{name}.{part}.lin", lam.linearized()
+
+
+def test_homology_at_matches_reference_on_fixture_complexes():
+    seen = []
+    for label, cx in _fixture_int_complexes():
+        degs = cx.degrees()
+        for d in range(min(degs, default=0) - 1, max(degs, default=0) + 2):
+            _assert_homology_matches_reference(cx.boundary_or_zero(d + 1),
+                                               cx.boundary_or_zero(d))
+        seen.append(label)
+    assert any(label.endswith(".lin") for label in seen)
+
+
+def test_homology_at_rejects_random_non_complexes():
+    rng = random.Random("non-complex")
+    raised = 0
+    for _ in range(60):
+        d2, d1 = _random_complex(rng)
+        if not (d1.rows and d2.cols):
+            continue
+        d2.data[rng.randrange(d2.rows)][rng.randrange(d2.cols)] += 1
+        if all(x == 0 for row in mat_mul(d1, d2).data for x in row):
+            continue
+        with pytest.raises(ValueError, match="not a complex"):
+            homology_at(d2, d1)
+        with pytest.raises(ValueError, match="not a complex"):
+            homology_at_reference(d2, d1)
+        raised += 1
+    assert raised > 20
