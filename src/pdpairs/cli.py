@@ -48,10 +48,13 @@ def search_radius(args):
 
 def _load(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_INPUT)
+    except UnicodeDecodeError as exc:
+        print(f"error: {path}: not UTF-8 text ({exc})", file=sys.stderr)
         raise SystemExit(EXIT_INPUT)
     try:
         return load_scenario(text)

@@ -3,12 +3,15 @@
 Everything here is pure arbitrary-precision integer arithmetic: Smith normal
 form with unimodular witnesses, kernel bases, integral linear solving, and
 homology of integer chain complexes.  IntMatrix is a dense list of rows and
-backs the Smith form, whose steps touch only the entries they change and
-which builds Uinv only for a caller that reads it.  A LinearSolver caches
-one SNF so repeated solves against the same matrix are cheap; it, and
-homology_at, work over nonzero entries only.  sparse_solve takes rows as
-dicts, eliminates unit pivots in Markowitz order from a candidate heap, and
-hands only the residual core to the dense Smith form.
+backs the Smith form, whose steps touch only the entries of D they change
+and are logged; the witnesses U, Uinv and V are replayed from the logs only
+for a caller that reads them.  A LinearSolver caches one SNF so repeated
+solves against the same matrix are cheap, and applies its witnesses over
+nonzero entries only.  homology_at takes one Smith form of d_out and one
+of d_in in kernel coordinates, which it reads, like its generators, by
+replaying d_out's column log; it builds no U or V.  sparse_solve takes rows
+as dicts, eliminates unit pivots in Markowitz order from a candidate heap,
+and hands only the residual core to the dense Smith form.
 """
 
 from __future__ import annotations
@@ -80,20 +83,48 @@ class SnfResult:
     """U * A * V = D with D diagonal in divisibility order.
 
     diag lists only the nonzero invariant factors; rank == len(diag).
-    row_ops logs the elimination's row operations in order, as (kind, i,
-    k, arg) with kind "add", "swap", "neg" or "mix".  Uinv is built on the
-    first read, by replaying the log on the identity, and then kept.
+    The elimination keeps no witness matrix, only two logs of its steps in
+    order, each step a tuple (kind, i, k, arg):
+
+    - row_ops: ("add", i, k, q) for row i += q * row k, ("swap", i, k,
+      None), ("neg", i, i, None), ("mix", i, k, (a, b, c, d)) for rows
+      (i, k) <- (a r_i + b r_k, c r_i + d r_k);
+    - col_ops: ("add", s, j, q) for col j += q * col s, ("swap", s, k,
+      None), ("mix", i, j, (a, b, c, d)) for cols (i, j) <- (a c_i + c c_j,
+      b c_i + d c_j).
+
+    Every mix has determinant 1.  U, Uinv and V are built the first time
+    they are read, by replaying a log on the identity, and then kept.
+    V_times and Vinv_times apply V and V^-1 to other matrices by replaying
+    col_ops, so a caller that needs only such products never builds V.
     """
 
     diag: list
-    U: IntMatrix
-    V: IntMatrix
     shape: tuple
     row_ops: list = field(repr=False)
+    col_ops: list = field(repr=False)
 
     @property
     def rank(self):
         return len(self.diag)
+
+    @cached_property
+    def U(self) -> IntMatrix:
+        m = self.shape[0]
+        rows = IntMatrix.identity(m).data
+        for kind, i, k, arg in self.row_ops:
+            if kind == "add":
+                rows[i] = [x + arg * y for x, y in zip(rows[i], rows[k])]
+            elif kind == "swap":
+                rows[i], rows[k] = rows[k], rows[i]
+            elif kind == "neg":
+                rows[i] = [-x for x in rows[i]]
+            else:
+                a, b, c, d = arg
+                ri, rk = rows[i], rows[k]
+                rows[i] = [a * x + b * y for x, y in zip(ri, rk)]
+                rows[k] = [c * x + d * y for x, y in zip(ri, rk)]
+        return IntMatrix(m, m, rows)
 
     @cached_property
     def Uinv(self) -> IntMatrix:
@@ -115,6 +146,49 @@ class SnfResult:
                 cols[k] = [-x * b + y * a for x, y in zip(ci, ck)]
         return IntMatrix(m, m, [list(r) for r in zip(*cols)])
 
+    @cached_property
+    def V(self) -> IntMatrix:
+        n = self.shape[1]
+        return IntMatrix(n, n, self.V_times(IntMatrix.identity(n).data))
+
+    def V_times(self, rows) -> list:
+        """V * W for W given as its n rows; returns the rows of the product.
+
+        V = E_1 ... E_t for the logged column operations E_1, ..., E_t, so
+        V * W applies E_t first: the log runs backwards, each step as a row
+        operation.  The rows of W are not modified.
+        """
+        w = list(rows)
+        for kind, i, j, arg in reversed(self.col_ops):
+            if kind == "add":  # E = 1 + q e_i e_j^T
+                w[i] = [x + arg * y for x, y in zip(w[i], w[j])]
+            elif kind == "swap":
+                w[i], w[j] = w[j], w[i]
+            else:  # E is [[a, b], [c, d]] on rows and columns (i, j)
+                a, b, c, d = arg
+                wi, wj = w[i], w[j]
+                w[i] = [a * x + b * y for x, y in zip(wi, wj)]
+                w[j] = [c * x + d * y for x, y in zip(wi, wj)]
+        return w
+
+    def Vinv_times(self, rows) -> list:
+        """V^-1 * W for W given as its n rows; returns the rows of the
+        product.  V^-1 = E_t^-1 ... E_1^-1, so the log runs forwards, each
+        step inverted as a row operation.  The rows of W are not modified.
+        """
+        w = list(rows)
+        for kind, i, j, arg in self.col_ops:
+            if kind == "add":  # E^-1 = 1 - q e_i e_j^T
+                w[i] = [x - arg * y for x, y in zip(w[i], w[j])]
+            elif kind == "swap":
+                w[i], w[j] = w[j], w[i]
+            else:  # E^-1 is [[d, -b], [-c, a]], since det E = 1
+                a, b, c, d = arg
+                wi, wj = w[i], w[j]
+                w[i] = [d * x - b * y for x, y in zip(wi, wj)]
+                w[j] = [-c * x + a * y for x, y in zip(wi, wj)]
+        return w
+
 
 def _xgcd(a, b):
     x0, x1, y0, y1 = 1, 0, 0, 1
@@ -134,51 +208,45 @@ def snf(A: IntMatrix) -> SnfResult:
     divisibility chain is then enforced with closed-form Bezout 2x2
     transforms, so no Euclidean loop ever runs on grown entries.
 
-    Each operation touches only what it can change.  Row operations update
-    D and U and are logged for SnfResult.Uinv.  Rows above the pivot are
-    zero off the diagonal, so a column swap of D runs over the working
-    rows, a Bezout column mix over its two rows, and a column addition that
-    clears row s (column s is then zero below the pivot) changes D[s][j]
-    alone.  V is kept as its list of columns.
+    Each operation touches only what it can change, in D alone: no witness
+    is updated, every row and column operation is logged instead (see
+    SnfResult).  Rows above the pivot are zero off the diagonal, so a
+    column swap of D runs over the working rows, a Bezout column mix over
+    its two rows, and a column addition that clears row s (column s is then
+    zero below the pivot) changes D[s][j] alone.
     """
     m, n = A.rows, A.cols
     D = [row[:] for row in A.data]
-    U = IntMatrix.identity(m).data
-    Vcols = IntMatrix.identity(n).data
     log = []
+    col_log = []
 
     def row_add(i, k, q):  # row i += q * row k
         D[i] = [x + q * y for x, y in zip(D[i], D[k])]
-        U[i] = [x + q * y for x, y in zip(U[i], U[k])]
         log.append(("add", i, k, q))
 
     def row_swap(i, k):
         D[i], D[k] = D[k], D[i]
-        U[i], U[k] = U[k], U[i]
         log.append(("swap", i, k, None))
 
     def row_neg(i):
         D[i] = [-x for x in D[i]]
-        U[i] = [-x for x in U[i]]
         log.append(("neg", i, i, None))
 
     def row_mix(i, j, t):  # rows (i, j) <- t . rows (i, j), det t = 1
         a, b, c, d = t
         D[i], D[j] = ([a * x + b * y for x, y in zip(D[i], D[j])],
                       [c * x + d * y for x, y in zip(D[i], D[j])])
-        U[i], U[j] = ([a * x + b * y for x, y in zip(U[i], U[j])],
-                      [c * x + d * y for x, y in zip(U[i], U[j])])
         log.append(("mix", i, j, t))
 
     def col_swap(s, k):  # rows above s are zero in columns s and k >= s
         for r in range(s, m):
             row = D[r]
             row[s], row[k] = row[k], row[s]
-        Vcols[s], Vcols[k] = Vcols[k], Vcols[s]
+        col_log.append(("swap", s, k, None))
 
     def col_add(s, j, q):  # col j += q * col s, col s zero off row s
         D[s][j] += q * D[s][s]
-        Vcols[j] = [x + q * y for x, y in zip(Vcols[j], Vcols[s])]
+        col_log.append(("add", s, j, q))
 
     def col_mix(i, j, t):  # cols (i, j) <- cols (i, j) . t^T style, det 1
         a, b, c, d = t  # D is diagonal but for the 2x2 block at (i, j)
@@ -186,9 +254,7 @@ def snf(A: IntMatrix) -> SnfResult:
             x, y = row[i], row[j]
             row[i] = a * x + c * y
             row[j] = b * x + d * y
-        x, y = Vcols[i], Vcols[j]
-        Vcols[i] = [a * p + c * q for p, q in zip(x, y)]
-        Vcols[j] = [b * p + d * q for p, q in zip(x, y)]
+        col_log.append(("mix", i, j, t))
 
     def find_pivot(s):
         best = None
@@ -251,8 +317,7 @@ def snf(A: IntMatrix) -> SnfResult:
                     row_neg(i + 1)
                 changed = True
     diag = [D[i][i] for i in range(r) if D[i][i] != 0]
-    V = IntMatrix(n, n, [list(row) for row in zip(*Vcols)])
-    return SnfResult(diag, IntMatrix(m, m, U), V, (m, n), log)
+    return SnfResult(diag, (m, n), log, col_log)
 
 
 class LinearSolver:
@@ -315,39 +380,38 @@ def homology_at(d_in: IntMatrix, d_out: IntMatrix) -> HomologyGroup:
     """ker(d_out) / im(d_in) for integer matrices with d_out * d_in = 0.
 
     Presented in invariant-factor form with explicit generating cycles.
+
+    One Smith form U d_out V = D fixes everything.  With Z = V^-1 d_in,
+    d_out d_in = U^-1 D Z, and the first r = rank rows of D are its only
+    nonzero ones, each with a nonzero diagonal entry: so d_out d_in = 0
+    exactly when Z[:r] = 0, which is the complex check.  The columns of
+    K = V[:, r:] are a basis of ker(d_out), and d_in = K Z[r:], so Y =
+    Z[r:] is the matrix of d_in in that basis, and a second Smith form of Y
+    gives the torsion, the free rank and, through Y's Uinv, generators in
+    kernel coordinates u, which V (0_r; u) maps back.  Both products replay
+    d_out's column log; neither Smith form builds U or V.
     """
     if d_in.rows != d_out.cols:
         raise ValueError("shape mismatch: d_out . d_in undefined")
-    in_nz = [[(i, x) for i, x in enumerate(col) if x]
-             for col in d_in.columns()]
-    if any(sum(row[i] * x for i, x in nz) for row in d_out.data
-           for nz in in_nz if nz):
+    res = snf(d_out)
+    r = res.rank
+    Z = res.Vinv_times(d_in.data)
+    if any(any(row) for row in Z[:r]):
         raise ValueError("not a complex: d_out . d_in != 0")
-    out_solver = LinearSolver(d_out)
-    kernel = out_solver.kernel_basis()
-    k = len(kernel)
+    k = d_out.cols - r
     if k == 0:
         return HomologyGroup(0, [])
-    K = IntMatrix.from_columns(kernel, rows=d_out.cols)
-    ksolver = LinearSolver(K)
-    ycols = []
-    for j in range(d_in.cols):
-        y = ksolver.solve(d_in.column(j))
-        if y is None:
-            raise ValueError("image does not lie in kernel")
-        ycols.append(y)
-    Y = IntMatrix.from_columns(ycols, rows=k)
-    yres = snf(Y)
+    yres = snf(IntMatrix(k, d_in.cols, Z[r:]))
     free_rank = k - yres.rank
     torsion = [d for d in yres.diag if d > 1]
-
-    def pull_back(i):  # generator i in the new coordinates is Uinv[:, i]
-        u_nz = [(l, c) for l, c in enumerate(yres.Uinv.column(i)) if c]
-        return [sum(row[l] * c for l, c in u_nz) for row in K.data]
-
-    free_gens = [pull_back(i) for i in range(yres.rank, k)]
-    torsion_gens = [pull_back(i) for i, d in enumerate(yres.diag) if d > 1]
-    return HomologyGroup(free_rank, torsion, free_gens, torsion_gens)
+    gens = list(range(yres.rank, k)) + [
+        i for i, d in enumerate(yres.diag) if d > 1]
+    Uinv = yres.Uinv.data
+    W = [[0] * len(gens) for _ in range(r)]
+    W += [[row[i] for i in gens] for row in Uinv]
+    cols = [list(c) for c in zip(*res.V_times(W))]
+    return HomologyGroup(free_rank, torsion, cols[:free_rank],
+                         cols[free_rank:])
 
 
 def sparse_solve(rows, ncols, rhs):

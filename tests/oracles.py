@@ -4,14 +4,16 @@ Nothing here shares code with the package's elimination engine: invariant
 factors come from the classical minors-gcd characterization (determinants
 via fraction-free Bareiss), and homology comes from a from-scratch
 xgcd-based kernel computation.  Some functions are references for a
-solver's choices rather than independent oracles: snf_reference and
-homology_at_reference are the Smith form and homology as they were before
-the package's versions stopped forming Uinv during the elimination (same
-pivots, same witnesses); sparse_solve_reference finishes its residual core
-with the package's dense LinearSolver; column_solve_reference solves with
-the package's system_block_matrix and LinearSolver.  The dense matrix
-helpers (mat_mul, transpose, is_zero, diagonal_matrix, solve_integral)
-serve the tests only.
+solver's choices rather than independent oracles: snf_reference is the
+Smith form as it was when every step also updated dense witnesses (same
+pivots, same witnesses as the package's, which replays them from logs);
+homology_at_reference is homology as it was computed before it read kernel
+coordinates from one Smith form (a dense complex check, one solve against
+a kernel basis per column of d_in); sparse_solve_reference finishes its
+residual core with the package's dense LinearSolver;
+column_solve_reference solves with the package's system_block_matrix and
+LinearSolver.  The dense matrix helpers (mat_mul, transpose, is_zero,
+diagonal_matrix, solve_integral) serve the tests only.
 """
 
 import itertools

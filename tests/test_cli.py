@@ -42,6 +42,15 @@ def test_missing_file_exit_three():
     assert main(["verify", "no-such-file.pdp"]) == 3
 
 
+@pytest.mark.parametrize("command", ["verify", "homology", "nu", "realize"])
+def test_non_utf8_file_exit_three(command, tmp_path, capsys):
+    path = tmp_path / "junk.pdp"
+    path.write_bytes(bytes(range(128, 256)) + b"pair P {}")
+    assert main([command, str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not UTF-8 text")
+
+
 def test_verify_json_schema(capsys):
     assert main(["verify", fx("solid_torus.pdp"), "--json"]) == 0
     data = json.loads(capsys.readouterr().out)

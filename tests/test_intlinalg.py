@@ -11,7 +11,7 @@ import pathlib
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
     bareiss_det,
@@ -23,6 +23,7 @@ from oracles import (
     solve_integral,
     sparse_solve_reference,
 )
+from pdpairs import intlinalg
 from pdpairs.dsl import ParseError, SemanticError, load_scenario
 from pdpairs.intlinalg import (
     HomologyGroup,
@@ -330,6 +331,18 @@ def _random_snf_input(rng, kind):
         return IntMatrix.from_rows(
             [[rng.choice([1, -1]) if rng.random() < density else 0
               for _ in range(n)] for _ in range(m)])
+    if kind == "bezout":
+        # invariant factors out of divisibility order, lightly mixed: the
+        # elimination ends in Bezout mixes as a rule
+        m, n = rng.randint(2, 6), rng.randint(2, 6)
+
+        def ops(k):
+            return [(rng.randrange(k), rng.randrange(k), rng.randint(-2, 2))
+                    for _ in range(rng.randint(0, 4))]
+
+        diag = [rng.choice([0, 1, 2, 3, 4, 5, 6, 9])
+                for _ in range(min(m, n))]
+        return _from_smith_form(diag, m, n, ops(m), ops(n))[0]
     m, n = rng.randint(1, 9), rng.randint(1, 9)
     # non-unit entries make remainders (re-pivots) and a Bezout phase
     values = [0, 0, 2, -2, 3, 4, -6, 9, 10, -15, 1]
@@ -344,7 +357,7 @@ def _random_snf_input(rng, kind):
 
 
 @pytest.mark.parametrize("kind", ["non-unit", "zero-lines", "empty",
-                                  "incidence"])
+                                  "incidence", "bezout"])
 def test_snf_matches_reference(kind):
     rng = random.Random(f"snf-{kind}")
     non_unit = 0
@@ -444,3 +457,178 @@ def test_homology_at_rejects_random_non_complexes():
             homology_at_reference(d2, d1)
         raised += 1
     assert raised > 20
+
+
+WITNESSES = ("U", "V", "Uinv")
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(WITNESSES)))
+def test_lazy_witnesses_match_reference_in_any_order(order):
+    rng = random.Random("lazy-witnesses")
+    mixes = 0
+    for _ in range(80):
+        A = _random_snf_input(rng, rng.choice(["non-unit", "bezout"]))
+        res = snf(A)
+        assert not set(WITNESSES) & set(vars(res))  # built on read only
+        diag, *expected = snf_reference(A)
+        expected = dict(zip(WITNESSES, expected))
+        first = {}
+        for name in order:
+            first[name] = getattr(res, name)
+            assert first[name] == expected[name]
+        for name in order:
+            assert getattr(res, name) is first[name]
+        assert res.diag == diag
+        mixes += any(op[0] == "mix" for op in res.col_ops)
+    assert mixes > 10  # the Bezout phase ran and logged column mixes
+
+
+def test_v_replays_match_dense_products():
+    rng = random.Random("v-replay")
+    mixes = 0
+    for _ in range(150):
+        A = _random_snf_input(
+            rng, rng.choice(["non-unit", "zero-lines", "bezout"]))
+        res = snf(A)
+        V = snf_reference(A)[2]
+        width = rng.randint(0, 4)
+        W = IntMatrix(A.cols, width,
+                      [[rng.randint(-5, 5) for _ in range(width)]
+                       for _ in range(A.cols)])
+        before = W.copy()
+        assert res.V_times(W.data) == mat_mul(V, W).data
+        Z = IntMatrix(A.cols, width, res.Vinv_times(W.data))
+        assert mat_mul(V, Z) == W
+        assert res.V_times(Z.data) == W.data
+        assert W == before  # the replays leave their argument alone
+        mixes += any(op[0] == "mix" for op in res.col_ops)
+    assert mixes > 10
+
+
+def _unimodular(ops, n):
+    """(M, M^-1) for M the product of the row additions row i += q row j."""
+    M = IntMatrix.identity(n)
+    Minv = IntMatrix.identity(n)
+    for i, j, q in ops:
+        if i == j:
+            continue
+        M.data[i] = [x + q * y for x, y in zip(M.data[i], M.data[j])]
+        for row in Minv.data:
+            row[j] -= q * row[i]
+    return M, Minv
+
+
+def _from_smith_form(diag, m, n, row_ops, col_ops):
+    """(U^-1 diag V^-1, V) for U^-1 and V the products of the given row
+    additions; diag need not be in divisibility order."""
+    Uinv, _ = _unimodular(row_ops, m)
+    V, Vinv = _unimodular(col_ops, n)
+    D = IntMatrix.zero(m, n)
+    for i, d in enumerate(diag):
+        D.data[i][i] = d
+    return mat_mul(mat_mul(Uinv, D), Vinv), V
+
+
+def _complex_from_smith_form(diag, m, n, row_ops, col_ops, kernel_rows):
+    """(d_in, d_out) with d_out = U^-1 diag V^-1 and d_in = V (0; B).
+
+    B holds kernel_rows in the rows where diag is zero or absent, so the
+    homology is coker(B) plus what d_out's rank leaves free."""
+    d_out, V = _from_smith_form(diag, m, n, row_ops, col_ops)
+    width = len(kernel_rows[0]) if kernel_rows else 0
+    rows = iter(kernel_rows)
+    B = IntMatrix(n, width, [
+        [0] * width if i < len(diag) and diag[i] else next(rows)
+        for i in range(n)])
+    return mat_mul(V, B), d_out
+
+
+@st.composite
+def _smith_form_complexes(draw):
+    m, n = draw(st.integers(0, 5)), draw(st.integers(1, 6))
+    width = draw(st.integers(0, 4))
+    diag = draw(st.lists(st.sampled_from([0, 1, 2, 3, 4, 6, 9]),
+                         min_size=min(m, n), max_size=min(m, n)))
+
+    def ops(size):
+        if size < 2:
+            return []
+        index = st.integers(0, size - 1)
+        return draw(st.lists(st.tuples(index, index, st.integers(-3, 3)),
+                             max_size=12))
+
+    free = n - sum(1 for d in diag if d)
+    kernel_rows = [draw(st.lists(st.sampled_from([0, 1, -2, 3, 4, 6]),
+                                 min_size=width, max_size=width))
+                   for _ in range(free)]
+    return _complex_from_smith_form(diag, m, n, ops(m), ops(n), kernel_rows)
+
+
+@given(_smith_form_complexes())
+@example(_complex_from_smith_form(  # diag (2, 3) forces a Bezout mix
+    [2, 3], 2, 4, [(0, 1, 1), (1, 0, -2)], [(0, 2, 1), (3, 1, 2), (2, 3, -1)],
+    [[2, 0], [4, 6]]))
+@settings(max_examples=150, deadline=None)
+def test_homology_at_matches_reference_on_smith_form_complexes(complex_):
+    _assert_homology_matches_reference(*complex_)
+
+
+@pytest.mark.parametrize("d_in,d_out,expected", [
+    (IntMatrix.zero(3, 0), IntMatrix.from_rows([[2, 4, 0]]), (2, [])),
+    (IntMatrix.from_rows([[2], [0], [0]]), IntMatrix.zero(0, 3), (2, [2])),
+    (IntMatrix.from_rows([[0, 3], [0, 0]]), IntMatrix.zero(1, 2), (1, [3])),
+    (IntMatrix.zero(2, 1), IntMatrix.from_rows([[1, 1], [0, 2]]), (0, [])),
+    (IntMatrix.zero(0, 2), IntMatrix.zero(3, 0), (0, [])),
+], ids=["d_in-no-columns", "d_out-no-rows", "rank-0", "empty-kernel",
+        "no-cells"])
+def test_homology_at_edge_shapes(d_in, d_out, expected):
+    h = _assert_homology_matches_reference(d_in, d_out)
+    assert (h.free_rank, h.torsion) == expected
+
+
+@pytest.mark.parametrize("d_in,d_out", [
+    (IntMatrix.zero(2, 1), IntMatrix.zero(1, 3)),
+    (IntMatrix.zero(0, 1), IntMatrix.zero(1, 2)),
+    (IntMatrix.from_rows([[1], [0]]), IntMatrix.from_rows([[1, 0]])),
+    (IntMatrix.from_rows([[1], [0]]), IntMatrix.from_rows([[1, 0], [0, 2]])),
+    (IntMatrix.from_rows([[0], [1], [0]]),
+     IntMatrix.from_rows([[2, 0, 0], [0, 3, 0]])),
+], ids=["shape", "shape-empty", "non-complex", "non-complex-empty-kernel",
+        "non-complex-after-bezout"])
+def test_homology_at_errors_match_reference(d_in, d_out):
+    with pytest.raises(ValueError) as got:
+        homology_at(d_in, d_out)
+    with pytest.raises(ValueError) as want:
+        homology_at_reference(d_in, d_out)
+    assert str(got.value) == str(want.value)
+
+
+def test_homology_at_takes_two_smith_forms_and_builds_no_u_or_v(
+        monkeypatch):
+    """The per-column kernel solver must not come back."""
+    results = []
+    real_snf = intlinalg.snf
+
+    def spy(A):
+        results.append(real_snf(A))
+        return results[-1]
+
+    def no_solver(A):
+        raise AssertionError("homology_at built a LinearSolver")
+
+    monkeypatch.setattr(intlinalg, "snf", spy)
+    monkeypatch.setattr(intlinalg, "LinearSolver", no_solver)
+    rng = random.Random("two-smith-forms")
+    checked = 0
+    for _ in range(40):
+        d2, d1 = _random_complex(rng)
+        results.clear()
+        h = homology_at(d2, d1)
+        if len(results) == 1:  # an empty kernel needs no second form
+            assert d1.cols == results[0].rank and h.is_trivial()
+            continue
+        assert len(results) == 2
+        for res in results:
+            assert "U" not in vars(res) and "V" not in vars(res)
+        checked += 1
+    assert checked > 30
