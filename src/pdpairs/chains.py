@@ -224,7 +224,9 @@ class LambdaColumnSolver:
     element h that the support reaches through that row.  Over a finite
     model the ball is the whole group, so the solve is exact, and when M has
     no zero row the system is system_block_matrix(M); over an infinite model
-    failure only means failure at this radius.
+    failure only means failure at this radius.  kernel() gives the integer
+    kernel of that system as Lambda-vectors: over a finite model they span
+    the solutions of apply(M, x) = 0.
     """
 
     def __init__(self, m: LambdaMatrix, radius: int = 4):
@@ -270,6 +272,11 @@ class LambdaColumnSolver:
         if x is None:
             return None
         return int_vec_to_ring(self.model, self.support, x, self.m.cols)
+
+    def kernel(self):
+        """A lattice basis of the integer kernel, as RingElem vectors."""
+        return [int_vec_to_ring(self.model, self.support, v, self.m.cols)
+                for v in self.solver.kernel_basis()]
 
 
 class LambdaLinearSystem:
@@ -834,8 +841,6 @@ def mapping_cone(f: LambdaChainMap) -> tuple:
             layout[d] = (ar, br)
     boundary = {}
     for d in sorted(ranks):
-        if d - 1 not in ranks and (A.rank(d - n - 2) + B.rank(d - 1)) == 0:
-            continue
         ar, br = layout[d]
         ar1 = A.rank(d - n - 2)
         br1 = B.rank(d - 1)

@@ -83,8 +83,6 @@ def cmd_homology(args):
             tables["relative"] = rpt.homology_table(pair.D.tensor_Zomega())
         out[name] = tables
     for name, cx in sorted(scenario.complexes.items()):
-        if any(name == p.P.basis_names for p in scenario.pairs.values()):
-            continue
         out.setdefault(name, {"total": rpt.homology_table(cx.tensor_Zomega())})
     if args.json:
         print(rpt.to_json(out))

@@ -12,7 +12,6 @@ finite integer combination of keys.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 
@@ -308,9 +307,10 @@ class FiniteTable(GroupModel):
     """Finite group given by a multiplication table; keys are indices.
 
     Index 0 must be the identity.  The inverse table is derived.  The table
-    is validated: rows and columns must be permutations, associativity is
-    checked (exhaustively for small orders, on samples beyond), and omega
-    must be a homomorphism to Z/2.
+    is validated exactly: rows and columns must be permutations, the
+    generators (all non-identity elements by default) must generate the
+    table, multiplication must be associative, and omega must be a
+    homomorphism to Z/2.
     """
 
     kind = "finite-table"
@@ -323,9 +323,9 @@ class FiniteTable(GroupModel):
         self.omega_vec = tuple(omega_vec or [0] * n)
         if len(self.names) != n or len(self.omega_vec) != n:
             raise GroupError("finite-table: names/omega length mismatch")
-        self._validate()
         self.generators = tuple(generators if generators is not None
                                 else range(1, n))
+        self._validate()
         self.inv_table = tuple(self._find_inverse(i) for i in range(n))
 
     def _validate(self):
@@ -340,14 +340,28 @@ class FiniteTable(GroupModel):
         for i in range(n):
             if self.table[0][i] != i or self.table[i][0] != i:
                 raise GroupError("finite-table: index 0 is not the identity")
-        triples = (itertools.product(range(n), repeat=3) if n <= 16
-                   else ((random.Random(7).randrange(n),
-                          random.Random(11 + k).randrange(n),
-                          random.Random(13 + k).randrange(n))
-                         for k in range(200)))
-        for a, b, c in triples:
-            if self.table[self.table[a][b]][c] != self.table[a][self.table[b][c]]:
-                raise GroupError("finite-table: multiplication is not associative")
+        t = self.table
+        if any(not 0 <= g < n for g in self.generators):
+            raise GroupError("finite-table: generator index out of range")
+        reached = {0}
+        frontier = [0]
+        while frontier:
+            x = frontier.pop()
+            for g in self.generators:
+                if t[x][g] not in reached:
+                    reached.add(t[x][g])
+                    frontier.append(t[x][g])
+        if len(reached) != n:
+            raise GroupError("finite-table: generators do not generate the table")
+        # Light's test: the g with (x g) y = x (g y) for all x, y are closed
+        # under products, so checking a generating set checks every triple
+        for g in self.generators:
+            for x in range(n):
+                xg = t[x][g]
+                for y in range(n):
+                    if t[xg][y] != t[x][t[g][y]]:
+                        raise GroupError(
+                            "finite-table: multiplication is not associative")
         for a in range(n):
             for b in range(n):
                 expected = (self.omega_vec[a] + self.omega_vec[b]) % 2

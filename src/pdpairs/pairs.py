@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from .chains import (
     IntComplex,
     LambdaChainMap,
+    LambdaColumnSolver,
     LambdaComplex,
     LambdaLinearSystem,
     LambdaMatrix,
@@ -312,7 +313,11 @@ def solve_diagonal_cell(complex_: LambdaComplex, diagonal: dict, cell,
 
     Fixes the counit-forced end terms (v0, 1, cell) and (cell, k, v1) for
     candidate vertices and translations in deterministic order, then solves
-    an integer system for middle terms of inner degrees.  Returns a
+    for middle terms of inner degrees.  For each radius the middle terms
+    are the unknowns of one Lambda-matrix: a column per basis triple
+    ((p, i), k, (d - p, j)) with k in the ball, holding the boundary of that
+    triple, and a row per triple those boundaries reach.  One column solver
+    then serves every end choice, each a solve of its deficit.  Returns a
     validated LambdaTensor or None.  end_vertices pins (v0, v1), which keeps
     the end terms of several top cells coherent.
     """
@@ -326,19 +331,30 @@ def solve_diagonal_cell(complex_: LambdaComplex, diagonal: dict, cell,
             target = target + diagonal[(d - 1, m)].scale_ring(entry)
     verts = [i for i in range(complex_.rank(0))
              if complex_.augmentation[i].aug() == 1]
+    lefts = verts if end_vertices is None else [end_vertices[0]]
+    rights = verts if end_vertices is None else [end_vertices[1]]
     for rad in range(1, radius + 1):
-        for v_left in verts if end_vertices is None else [end_vertices[0]]:
-            for v_right in verts if end_vertices is None else [end_vertices[1]]:
+        middles, row_index, solver = _middle_solver(complex_, d, rad)
+        for v_left in lefts:
+            for v_right in rights:
                 for k_end in model.ball(rad):
                     ends = LambdaTensor(model)
                     ends.add_term((0, v_left), model.identity(), cell,
                                   model.one())
                     ends.add_term(cell, k_end, (0, v_right), model.one())
                     deficit = target - ends.boundary(complex_, complex_)
-                    sol = _solve_middles(complex_, cell, deficit, rad)
+                    if any(key not in row_index for key in deficit.terms):
+                        continue  # a triple no middle term reaches
+                    rhs = [model.zero()] * len(row_index)
+                    for key, coeff in deficit.terms.items():
+                        rhs[row_index[key]] = coeff
+                    sol = solver.solve(rhs)
                     if sol is None:
                         continue
-                    tentative = ends + sol
+                    tentative = ends
+                    for key, x in zip(middles, sol):
+                        if not x.is_zero():
+                            tentative.add_term(*key, x)
                     # validate the chain-map law exactly
                     if (tentative.boundary(complex_, complex_)
                             - target).is_zero():
@@ -346,56 +362,33 @@ def solve_diagonal_cell(complex_: LambdaComplex, diagonal: dict, cell,
     return None
 
 
-def _solve_middles(complex_, cell, deficit: LambdaTensor, radius: int):
+def _middle_solver(complex_, d: int, radius: int):
+    """The middle triples of a d-cell's diagonal, the row index of the
+    triples their boundaries reach, and the column solver of that matrix."""
     model = complex_.model
-    d = cell[0]
     ball = model.ball(radius)
+    middles = []
     columns = []
-    keys = []
-    for p in range(1, d):
-        q = d - p
-        for i in range(complex_.rank(p)):
-            for j in range(complex_.rank(q)):
-                for kmid in ball:
-                    base = LambdaTensor(model)
-                    base.add_term((p, i), kmid, (q, j), model.one())
-                    dbase = base.boundary(complex_, complex_)
-                    for g in ball:
-                        keys.append(((p, i), kmid, (q, j), g))
-                        columns.append(dbase.scale_ring(model.unit(g)))
     row_index = {}
-    rows = []
-
-    def row_of(key):
-        r = row_index.get(key)
-        if r is None:
-            r = len(rows)
-            row_index[key] = r
-            rows.append(key)
-        return r
-
-    entries = []
+    for p in range(1, d):
+        for i in range(complex_.rank(p)):
+            for j in range(complex_.rank(d - p)):
+                for k in ball:
+                    base = LambdaTensor(model)
+                    base.add_term((p, i), k, (d - p, j), model.one())
+                    col = base.boundary(complex_, complex_).terms
+                    for key in col:
+                        row_index.setdefault(key, len(row_index))
+                    middles.append(((p, i), k, (d - p, j)))
+                    columns.append(col)
+    # one shared zero: a RingElem per empty entry would dominate the memory
+    zero = model.zero()
+    m = LambdaMatrix(model, len(row_index), len(columns),
+                     [[zero] * len(columns) for _ in row_index])
     for c, col in enumerate(columns):
-        for (a, g, b), coeff in col.terms.items():
-            for h, val in coeff.support.items():
-                entries.append((row_of((a, g, b, h)), c, val))
-    rhsv = {}
-    for (a, g, b), coeff in deficit.terms.items():
-        for h, val in coeff.support.items():
-            rhsv[row_of((a, g, b, h))] = val
-    mat = IntMatrix.zero(len(rows), len(columns))
-    for r, c, val in entries:
-        mat.data[r][c] += val
-    rhs = [rhsv.get(r, 0) for r in range(len(rows))]
-    sol = LinearSolver(mat).solve(rhs)
-    if sol is None:
-        return None
-    out = LambdaTensor(model)
-    for c, coeff in enumerate(sol):
-        if coeff:
-            (a, kmid, b, g) = keys[c]
-            out.add_term(a, kmid, b, model.unit(g, coeff))
-    return out
+        for key, coeff in col.items():
+            m.data[row_index[key]][c] = coeff
+    return middles, row_index, LambdaColumnSolver(m, radius)
 
 
 # ---------------------------------------------------------------------------

@@ -178,12 +178,7 @@ def augmentation_ideal(model: GroupModel) -> PresentedModule:
     if isinstance(model, FiniteTable):
         gens = [model.unit(g) - 1 for g in model.generators]
         span = LambdaMatrix(model, 1, len(gens), [list(gens)])
-        from .chains import system_block_matrix
-        sysmat = system_block_matrix(span)
-        kernel = LinearSolver(sysmat).kernel_basis()
-        from .chains import _finite_order, int_vec_to_ring
-        elems = _finite_order(model)
-        cols = [int_vec_to_ring(model, elems, v, len(gens)) for v in kernel]
+        cols = LambdaColumnSolver(span).kernel()
         relmat = LambdaMatrix(model, len(gens), len(cols),
                               [[cols[c][row] for c in range(len(cols))]
                                for row in range(len(gens))])

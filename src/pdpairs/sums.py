@@ -23,7 +23,6 @@ from .chains import (
     apply_matrix,
     compose,
     embed_ring,
-    int_vec_to_ring,
 )
 from .groups import FreeProduct
 from .intlinalg import IntMatrix, LinearSolver
@@ -98,6 +97,19 @@ def _embed_key(key, source_model, target_model):
         .is_unit_monomial()[0]
 
 
+def _carried_component(comp, k, source_model, model, remap):
+    """Boundary component comp of operand k, carried into the sum."""
+    cells = {d: tuple(sorted(remap[(d, i)][0][1] for i in idxs))
+             for d, idxs in comp.cells.items()}
+    kappa = {g: _embed_key(key, source_model, model)
+             for g, key in comp.kappa.items()}
+    disc = None
+    if comp.marked_disc:
+        disc = tuple(f"{nm}.{k + 1}" for nm in comp.marked_disc)
+    return BoundaryComponent(f"{comp.name}.{k + 1}", cells, comp.group,
+                             kappa, disc)
+
+
 def interior_sum(recipe: SumRecipe, verdicts=(None, None),
                  radius: int = 4) -> SumOutcome:
     """Chain-level interior connected sum along designated top cells."""
@@ -159,10 +171,6 @@ def interior_sum(recipe: SumRecipe, verdicts=(None, None),
     new_top_idx = len(names.setdefault(n, []))
     names[n].append(top_name)
     ranks = {d: len(ns) for d, ns in names.items()}
-
-    def embed_entry(r, k):
-        return embed_ring(r, model)
-
     boundary = {}
     for d in sorted(ranks):
         if d == 0:
@@ -179,7 +187,7 @@ def interior_sum(recipe: SumRecipe, verdicts=(None, None),
                         continue
                     (_, row), rsign = remaps[k][(d - 1, r)]
                     m.data[row][col] = m.data[row][col] + \
-                        embed_entry(e, k) * (sign * rsign)
+                        embed_ring(e, model) * (sign * rsign)
         boundary[d] = m
     # the new top cell: sum of the embedded attaching chains
     top_chains = []
@@ -191,7 +199,7 @@ def interior_sum(recipe: SumRecipe, verdicts=(None, None),
             if e.is_zero():
                 continue
             (_, row), rsign = remaps[k][(n - 1, r)]
-            chain[row] = chain[row] + embed_entry(e, k) * rsign
+            chain[row] = chain[row] + embed_ring(e, model) * rsign
         top_chains.append(chain)
     for row in range(ranks[n - 1]):
         boundary[n].data[row][new_top_idx] = \
@@ -218,18 +226,8 @@ def interior_sum(recipe: SumRecipe, verdicts=(None, None),
             for i in idxs:
                 (dd, j), _ = remaps[k][(d, i)]
                 sub.setdefault(dd, []).append(j)
-        for comp in pair.boundary_components:
-            cells = {}
-            for d, idxs in comp.cells.items():
-                cells[d] = tuple(sorted(remaps[k][(d, i)][0][1]
-                                        for i in idxs))
-            kappa = {g: _embed_key(key, pair.model, model)
-                     for g, key in comp.kappa.items()}
-            disc = None
-            if comp.marked_disc:
-                disc = tuple(f"{nm}.{k + 1}" for nm in comp.marked_disc)
-            comps.append(BoundaryComponent(
-                f"{comp.name}.{k + 1}", cells, comp.group, kappa, disc))
+        comps.extend(_carried_component(comp, k, pair.model, model, remaps[k])
+                     for comp in pair.boundary_components)
     out_pair = ChainPairData(new_complex, sub, diagonal,
                              boundary_components=comps, top_cell=top_name,
                              name=f"{p1.name}#{p2.name}")
@@ -404,17 +402,9 @@ def boundary_sum(recipe: SumRecipe, verdicts=(None, None),
     for k, pair in enumerate(pairs):
         chosen = comp1 if k == 0 else comp2
         for comp in pair.boundary_components:
-            if comp.name == chosen.name:
-                continue
-            cells = {d: tuple(sorted(remaps[k][(d, i)][0][1] for i in idxs))
-                     for d, idxs in comp.cells.items()}
-            kappa = {g: _embed_key(key, pair.model, model)
-                     for g, key in comp.kappa.items()}
-            disc = None
-            if comp.marked_disc:
-                disc = tuple(f"{nm}.{k + 1}" for nm in comp.marked_disc)
-            comps.append(BoundaryComponent(
-                f"{comp.name}.{k + 1}", cells, comp.group, kappa, disc))
+            if comp.name != chosen.name:
+                comps.append(_carried_component(comp, k, pair.model, model,
+                                                remaps[k]))
     top = None
     if p1.top_cell:
         top = f"{p1.top_cell}.1"
@@ -679,7 +669,7 @@ def _assemble_realized(skeleton: ChainPairData, d3_rel: LambdaMatrix,
             for cj, c in enumerate(q2_cells):
                 col[c] = col[c] - corr[cj]
         lift_cols.append(col)
-    lift_cols = _adjust_lifts_for_boundary(skeleton, lift_cols, inp, radius)
+    lift_cols = _adjust_lifts_for_boundary(skeleton, lift_cols, inp, solver)
     ranks = dict(P.ranks)
     ranks[3] = n_new
     names = {d: tuple(ns) for d, ns in P.basis_names.items()}
@@ -704,10 +694,12 @@ def _assemble_realized(skeleton: ChainPairData, d3_rel: LambdaMatrix,
                               contradiction=not verdict.passed(), notes=notes)
 
 
-def _adjust_lifts_for_boundary(skeleton, lift_cols, inp, radius):
-    """Add d2-kernel cycles so the candidate class hits the delta targets."""
-    model = skeleton.model
-    P = skeleton.P
+def _adjust_lifts_for_boundary(skeleton, lift_cols, inp, solver):
+    """Add d2-kernel cycles so the candidate class hits the delta targets.
+
+    solver is the column solver of d2 on the subcomplex 2-cells, or None
+    when there are none.
+    """
     if not inp.boundary_targets or not skeleton.sub_cells:
         return lift_cols
     # candidate class in degree 3 = kernel of the relative int boundary
@@ -719,36 +711,28 @@ def _adjust_lifts_for_boundary(skeleton, lift_cols, inp, radius):
     if len(kernel) != 1:
         return lift_cols  # verification will report the failure honestly
     x = kernel[0]
-    # delta of x with the current lifts, per component
-    current = {}
-    for comp in skeleton.boundary_components:
-        idxs = sorted(comp.cells.get(2, ()))
-        vals = []
-        for i in idxs:
-            total = 0
-            for j, c in enumerate(x):
-                total += c * lift_cols[j][i].aug_signed()
-            vals.append(total)
-        current[comp.name] = vals
-    ok = all(current.get(name) == list(target)
-             or current.get(name) == [-t for t in target]
-             for name, target in inp.boundary_targets.items())
-    if ok:
+
+    def hits_targets(cols):
+        """Whether delta of x, per component, is its target up to sign."""
+        for comp in skeleton.boundary_components:
+            vals = [sum(c * cols[j][i].aug_signed() for j, c in enumerate(x))
+                    for i in sorted(comp.cells.get(2, ()))]
+            target = list(inp.boundary_targets.get(comp.name, []))
+            if vals != target and vals != [-t for t in target]:
+                return False
+        return True
+
+    if hits_targets(lift_cols):
         return lift_cols
     # adjust by Lambda-cycles supported on the subcomplex 2-cells
-    q2_cells = skeleton._q_cells.get(2, [])
-    if not q2_cells:
+    if solver is None:
         return lift_cols
-    d2 = P.boundary_or_zero(2)
-    sub = LambdaMatrix(model, P.rank(1), len(q2_cells),
-                       [[d2.data[r][c] for c in q2_cells]
-                        for r in range(P.rank(1))])
-    ksolver = LambdaColumnSolver(sub, radius)
-    cycles = ksolver_kernel_ring(ksolver, model, len(q2_cells))
+    cycles = solver.kernel()
     if not cycles or len(cycles) * len(lift_cols) > 4:
         return lift_cols
     # integer search over small multiples of the cycles for each lifted cell
     import itertools
+    q2_cells = skeleton._q_cells.get(2, [])
     coeffs = range(-2, 3)
     for assignment in itertools.product(
             *[coeffs for _ in range(len(cycles) * len(lift_cols))]):
@@ -761,25 +745,6 @@ def _adjust_lifts_for_boundary(skeleton, lift_cols, inp, radius):
                 if a:
                     for cj, c in enumerate(q2_cells):
                         trial[j][c] = trial[j][c] + cyc[cj] * a
-        good = True
-        for comp in skeleton.boundary_components:
-            idxs = sorted(comp.cells.get(2, ()))
-            vals = []
-            for i in idxs:
-                total = 0
-                for j, c in enumerate(x):
-                    total += c * trial[j][i].aug_signed()
-                vals.append(total)
-            target = list(inp.boundary_targets.get(comp.name, []))
-            if vals != target and vals != [-t for t in target]:
-                good = False
-                break
-        if good:
+        if hits_targets(trial):
             return [tuple(col) for col in trial]
     return lift_cols
-
-
-def ksolver_kernel_ring(solver: LambdaColumnSolver, model, width):
-    """Kernel basis of the column solver, as ring-element vectors."""
-    return [int_vec_to_ring(model, solver.support, v, width)
-            for v in solver.solver.kernel_basis()]

@@ -12,7 +12,11 @@ coordinates from one Smith form (a dense complex check, one solve against
 a kernel basis per column of d_in); sparse_solve_reference finishes its
 residual core with the package's dense LinearSolver;
 column_solve_reference solves with the package's system_block_matrix and
-LinearSolver.  The dense matrix helpers (mat_mul, transpose, is_zero,
+LinearSolver; solve_diagonal_cell_reference is the diagonal search as it
+was when each end choice built and eliminated its own integer system;
+augmentation_ideal_finite_reference is the relation lattice of I(G) for a
+finite table as it was read off system_block_matrix.  The dense matrix
+helpers (mat_mul, transpose, is_zero,
 diagonal_matrix, solve_integral) serve the tests only.
 """
 
@@ -284,6 +288,108 @@ def column_solve_reference(m, b):
     return [RingElem(model, {g: x[j * n + k] for k, g in enumerate(elems)
                              if x[j * n + k]})
             for j in range(m.cols)]
+
+
+def solve_diagonal_cell_reference(complex_, diagonal, cell, radius=2,
+                                  end_vertices=None):
+    """The diagonal search with one integer system per end choice: the
+    package's search must reach the same verdict and the same end terms."""
+    from pdpairs.pairs import LambdaTensor
+    model = complex_.model
+    d, idx = cell
+    bd = complex_.boundary_or_zero(d)
+    target = LambdaTensor(model)
+    for m in range(bd.rows):
+        entry = bd.data[m][idx]
+        if not entry.is_zero():
+            target = target + diagonal[(d - 1, m)].scale_ring(entry)
+    verts = [i for i in range(complex_.rank(0))
+             if complex_.augmentation[i].aug() == 1]
+    for rad in range(1, radius + 1):
+        for v_left in verts if end_vertices is None else [end_vertices[0]]:
+            for v_right in verts if end_vertices is None else [end_vertices[1]]:
+                for k_end in model.ball(rad):
+                    ends = LambdaTensor(model)
+                    ends.add_term((0, v_left), model.identity(), cell,
+                                  model.one())
+                    ends.add_term(cell, k_end, (0, v_right), model.one())
+                    deficit = target - ends.boundary(complex_, complex_)
+                    sol = _solve_middles_reference(complex_, cell, deficit,
+                                                   rad)
+                    if sol is None:
+                        continue
+                    tentative = ends + sol
+                    # validate the chain-map law exactly
+                    if (tentative.boundary(complex_, complex_)
+                            - target).is_zero():
+                        return tentative
+    return None
+
+
+def _solve_middles_reference(complex_, cell, deficit, radius):
+    from pdpairs.intlinalg import IntMatrix, LinearSolver
+    from pdpairs.pairs import LambdaTensor
+    model = complex_.model
+    d = cell[0]
+    ball = model.ball(radius)
+    columns = []
+    keys = []
+    for p in range(1, d):
+        q = d - p
+        for i in range(complex_.rank(p)):
+            for j in range(complex_.rank(q)):
+                for kmid in ball:
+                    base = LambdaTensor(model)
+                    base.add_term((p, i), kmid, (q, j), model.one())
+                    dbase = base.boundary(complex_, complex_)
+                    for g in ball:
+                        keys.append(((p, i), kmid, (q, j), g))
+                        columns.append(dbase.scale_ring(model.unit(g)))
+    row_index = {}
+    rows = []
+
+    def row_of(key):
+        r = row_index.get(key)
+        if r is None:
+            r = len(rows)
+            row_index[key] = r
+            rows.append(key)
+        return r
+
+    entries = []
+    for c, col in enumerate(columns):
+        for (a, g, b), coeff in col.terms.items():
+            for h, val in coeff.support.items():
+                entries.append((row_of((a, g, b, h)), c, val))
+    rhsv = {}
+    for (a, g, b), coeff in deficit.terms.items():
+        for h, val in coeff.support.items():
+            rhsv[row_of((a, g, b, h))] = val
+    mat = IntMatrix.zero(len(rows), len(columns))
+    for r, c, val in entries:
+        mat.data[r][c] += val
+    rhs = [rhsv.get(r, 0) for r in range(len(rows))]
+    sol = LinearSolver(mat).solve(rhs)
+    if sol is None:
+        return None
+    out = LambdaTensor(model)
+    for c, coeff in enumerate(sol):
+        if coeff:
+            (a, kmid, b, g) = keys[c]
+            out.add_term(a, kmid, b, model.unit(g, coeff))
+    return out
+
+
+def augmentation_ideal_finite_reference(model):
+    """Relation columns of I(G) on the generators g - 1 of a finite table,
+    from the kernel of system_block_matrix of the generator row."""
+    from pdpairs.chains import LambdaMatrix, int_vec_to_ring, system_block_matrix
+    from pdpairs.intlinalg import LinearSolver
+    gens = [model.unit(g) - 1 for g in model.generators]
+    span = LambdaMatrix(model, 1, len(gens), [list(gens)])
+    kernel = LinearSolver(system_block_matrix(span)).kernel_basis()
+    return [int_vec_to_ring(model, model.ball(0), v, len(gens))
+            for v in kernel]
 
 
 def transpose(a):

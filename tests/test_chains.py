@@ -234,6 +234,21 @@ def test_column_solver_bounded_infinite():
     assert solver.solve([z.one()]) is None
 
 
+@pytest.mark.parametrize("model", [
+    FiniteTable.cyclic(3, "g"), FiniteTable.symmetric3(), InfiniteCyclic("t"),
+    FreeGroup(["a", "b"])], ids=["C3", "S3", "Z", "F2"])
+def test_column_solver_kernel_maps_to_zero(model):
+    a, b = model.unit(model.letters()[0]), model.unit(model.letters()[-1])
+    # (a + 1, -1, 0) is in the kernel, so it is never empty at radius 2
+    m = LambdaMatrix.from_rows(model, [[a - 1, a * a - 1, b - 1]])
+    solver = LambdaColumnSolver(m, radius=2)
+    kernel = solver.kernel()
+    assert kernel
+    for vec in kernel:
+        assert len(vec) == 3 and any(not x.is_zero() for x in vec)
+        assert all(r.is_zero() for r in apply_matrix(m, vec))
+
+
 def test_column_solver_rejects_wrong_length():
     z = InfiniteCyclic("t")
     g3 = FiniteTable.cyclic(3, "g")

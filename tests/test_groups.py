@@ -63,6 +63,26 @@ def test_finite_table_rejects_broken_rows():
         FiniteTable([[0, 1], [1, 1]], ["1", "s"])
 
 
+@pytest.mark.parametrize("generators", [[1], None], ids=["gen-1", "all"])
+def test_finite_table_rejects_non_associative_intercalate(generators):
+    # Z/20 with the intercalate on {1, 11} swapped: still a Latin square
+    # with identity 0, but (1 * 1) * 10 = 2 while 1 * (1 * 10) = 12
+    table = [[(i + j) % 20 for j in range(20)] for i in range(20)]
+    table[1][1] = table[11][11] = 12
+    table[1][11] = table[11][1] = 2
+    with pytest.raises(GroupError):
+        FiniteTable(table, [str(i) for i in range(20)],
+                    generators=generators)
+
+
+@pytest.mark.parametrize("generators", [[-1], [3], [0]])
+def test_finite_table_rejects_bad_generators(generators):
+    # -1 would index the table from the end; [0] generates only {0}
+    table = [[(i + j) % 3 for j in range(3)] for i in range(3)]
+    with pytest.raises(GroupError, match="generat"):
+        FiniteTable(table, ["1", "g", "g^2"], generators=generators)
+
+
 def test_finite_table_rejects_bad_omega():
     with pytest.raises(GroupError):
         FiniteTable.cyclic(3, "g", omega_gen=1)

@@ -17,6 +17,8 @@ from pdpairs.catalog import (
 from pdpairs.chains import LambdaComplex, LambdaMatrix, apply_matrix, is_nullhomotopic
 from pdpairs.groups import InfiniteCyclic, TrivialGroup
 from pdpairs.intlinalg import mat_vec
+
+from oracles import solve_diagonal_cell_reference
 from pdpairs.pairs import (
     ChainPairData,
     LambdaTensor,
@@ -354,6 +356,119 @@ def test_solve_diagonal_cell_reproduces_known_diagonal():
     ChainPairData(pair.P, dict(pair.sub_cells), full,
                   boundary_components=pair.boundary_components,
                   name="resolved")
+
+
+def _diagonal_calls(monkeypatch, builder):
+    """The solve_diagonal_cell inputs of realizing builder's pair."""
+    import pdpairs.sums as sums
+    calls = []
+    real = sums.solve_diagonal_cell
+
+    def record(complex_, diagonal, cell, **kwargs):
+        calls.append((complex_, dict(diagonal), cell, kwargs))
+        return real(complex_, diagonal, cell, **kwargs)
+
+    monkeypatch.setattr(sums, "solve_diagonal_cell", record)
+    pair = builder()
+    sums.realize_free_case(
+        sums.export_realization_input(pair, verify_pd(pair)))
+    assert calls
+    return calls
+
+
+def _collared_e1_call():
+    pair = build_solid_torus_collared()
+    cell = pair.cell("E1")
+    w = pair.cell("w")[1]
+    partial = {c: t for c, t in pair.diagonal.items() if c != cell}
+    return pair.P, partial, cell, {"radius": 2, "end_vertices": (w, w)}
+
+
+def _chain_map_defect(complex_, diagonal, cell, tensor):
+    bd = complex_.boundary_or_zero(cell[0])
+    target = LambdaTensor(complex_.model)
+    for m in range(bd.rows):
+        if not bd.data[m][cell[1]].is_zero():
+            target = target + diagonal[(cell[0] - 1, m)].scale_ring(
+                bd.data[m][cell[1]])
+    return tensor.boundary(complex_, complex_) - target
+
+
+def _end_terms(tensor, cell):
+    return {k: c for k, c in tensor.terms.items() if cell in (k[0], k[2])}
+
+
+REALIZED = [build_d3, build_solid_torus] + [
+    (lambda p: lambda: build_lens(p))(p) for p in range(2, 10)]
+
+
+@pytest.mark.parametrize("builder", REALIZED,
+                         ids=["d3", "solid-torus"] + [
+                             f"lens-{p}" for p in range(2, 10)])
+def test_solve_diagonal_cell_matches_reference_on_realized_cells(
+        monkeypatch, builder):
+    for complex_, diagonal, cell, kwargs in _diagonal_calls(monkeypatch,
+                                                            builder):
+        new = solve_diagonal_cell(complex_, diagonal, cell, **kwargs)
+        ref = solve_diagonal_cell_reference(complex_, diagonal, cell,
+                                            **kwargs)
+        assert (new is None) == (ref is None)
+        if new is None:
+            continue
+        assert _end_terms(new, cell) == _end_terms(ref, cell)
+        for t in (new, ref):
+            assert _chain_map_defect(complex_, diagonal, cell, t).is_zero()
+
+
+def test_solve_diagonal_cell_keeps_collared_shell_diagonal():
+    complex_, partial, cell, kwargs = _collared_e1_call()
+    new = solve_diagonal_cell(complex_, partial, cell, **kwargs)
+    ref = solve_diagonal_cell_reference(complex_, partial, cell, **kwargs)
+    assert list(new.terms.items()) == list(ref.terms.items())
+    assert new == build_solid_torus_collared().diagonal[cell]
+
+
+def test_solve_diagonal_cell_agrees_with_reference_on_no_diagonal():
+    # doubling a 2-cell diagonal breaks its counit, so no top diagonal
+    # satisfies the chain-map law at any radius
+    pair = build_solid_torus()
+    cell = pair.cell("E")
+    partial = {c: t for c, t in pair.diagonal.items() if c[0] < 3}
+    partial[(2, 0)] = partial[(2, 0)].scale(2)
+    assert solve_diagonal_cell(pair.P, partial, cell, radius=2) is None
+    assert solve_diagonal_cell_reference(pair.P, partial, cell,
+                                         radius=2) is None
+
+
+def test_solve_diagonal_cell_builds_one_column_solver_per_radius(
+        monkeypatch):
+    import pdpairs.chains as chains
+    import pdpairs.intlinalg as intlinalg
+    built = {"column": 0, "integer": 0}
+    column_init = chains.LambdaColumnSolver.__init__
+    integer_init = intlinalg.LinearSolver.__init__
+
+    def count_column(self, *args, **kwargs):
+        built["column"] += 1
+        column_init(self, *args, **kwargs)
+
+    def count_integer(self, *args, **kwargs):
+        built["integer"] += 1
+        integer_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(chains.LambdaColumnSolver, "__init__", count_column)
+    monkeypatch.setattr(intlinalg.LinearSolver, "__init__", count_integer)
+    pair = build_solid_torus()
+    partial = {c: t for c, t in pair.diagonal.items() if c[0] < 3}
+    calls = [(pair.P, partial, pair.cell("E"), {"radius": 2}),
+             _collared_e1_call()]
+    for complex_, diagonal, cell, kwargs in calls:
+        built.update(column=0, integer=0)
+        assert solve_diagonal_cell(complex_, diagonal, cell,
+                                   **kwargs) is not None
+        assert 1 <= built["column"] <= kwargs["radius"]
+        # the only integer systems are the column solvers' own
+        assert built["integer"] == built["column"]
 
 
 def test_algebraic_sum_two_of_three_on_interior_model():

@@ -25,6 +25,8 @@ from pdpairs.presented import (
     verify_factorization,
 )
 
+from oracles import augmentation_ideal_finite_reference
+
 
 def relative_solid_torus():
     """The quotient complex C(X, dX) of the solid torus: m in deg 2, E in 3."""
@@ -74,6 +76,15 @@ def test_augmentation_ideal_cyclic_p():
     assert ideal.relations.cols >= 1
     cols = [ideal.relations.column(j) for j in range(ideal.relations.cols)]
     assert any(c[0] == norm or c[0] == -norm for c in cols)
+
+
+@pytest.mark.parametrize("model", [
+    FiniteTable.cyclic(p, "g") for p in range(1, 9)] + [
+    FiniteTable.symmetric3()], ids=[f"C{p}" for p in range(1, 9)] + ["S3"])
+def test_augmentation_ideal_finite_matches_reference(model):
+    ideal = augmentation_ideal(model)
+    assert ideal.relations.columns() == \
+        augmentation_ideal_finite_reference(model)
 
 
 def test_augmentation_ideal_free_product_direct_sum():
