@@ -13,7 +13,6 @@ finite integer combination of keys.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 
 class GroupError(ValueError):
@@ -548,26 +547,6 @@ class FreeProduct(GroupModel):
         return f"FreeProduct({self.left!r}, {self.right!r})"
 
 
-@dataclass(frozen=True)
-class GroupElem:
-    """A group element tagged with its model.  Thin convenience wrapper;
-    most internal code passes raw keys with the model kept alongside."""
-
-    model: GroupModel
-    key: object
-
-    def __mul__(self, other):
-        if other.model != self.model:
-            raise GroupError("model mismatch")
-        return GroupElem(self.model, self.model.mul(self.key, other.key))
-
-    def inverse(self):
-        return GroupElem(self.model, self.model.inv(self.key))
-
-    def __str__(self):
-        return self.model.format_elem(self.key)
-
-
 class RingElem:
     """Element of Lambda = Z[G]: finite support mapping keys -> nonzero ints."""
 
@@ -621,11 +600,10 @@ class RingElem:
             return self * other
         return NotImplemented
 
-    def translate(self, key, coeff: int = 1):
-        """Left multiplication by coeff * key."""
+    def translate(self, key):
+        """Left multiplication by key."""
         m = self.model
-        return RingElem(m, {m.mul(key, g): coeff * c
-                            for g, c in self.support.items()})
+        return RingElem(m, {m.mul(key, g): c for g, c in self.support.items()})
 
     def bar(self):
         """The twisted involution: g -> (-1)^omega(g) g^{-1}, Z-linearly."""
@@ -650,9 +628,6 @@ class RingElem:
 
     def is_zero(self) -> bool:
         return not self.support
-
-    def coeff(self, key) -> int:
-        return self.support.get(key, 0)
 
     def is_unit_monomial(self):
         """Return (key, sign) if this is +-g for a single g, else None."""

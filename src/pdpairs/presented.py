@@ -400,16 +400,15 @@ def morphism_null_in_derived(f: ModuleMorphism, radius: int = 4):
 
 @dataclass
 class Factorization:
-    """f = (project) . middle . (include): A >-> A + Lambda^m ->> B + Q ->> B.
+    """f = (project) . middle: A -> B + Q ->> B, with Q = Lambda^q free.
 
-    Q is recorded as a free rank here; the middle map is an isomorphism
-    witnessed by an explicit two-sided inverse.
+    Q is recorded by its rank; the middle map is an isomorphism witnessed
+    by an explicit two-sided inverse.
     """
 
     f: ModuleMorphism
-    free_rank: int          # m, added to the source
     q_rank: int             # rank of the free complement on the target
-    middle: LambdaMatrix    # (B.ngens + q_rank) x (A.ngens + free_rank)
+    middle: LambdaMatrix    # (B.ngens + q_rank) x A.ngens
     middle_inverse: LambdaMatrix
 
 
@@ -429,20 +428,20 @@ def verify_factorization(fact: Factorization, radius: int = 4) -> bool:
     """Exact checks: middle is invertible and the composite equals f."""
     f = fact.f
     model = f.source.model
-    a_ext = _stabilized(f.source, fact.free_rank)
     b_ext = _stabilized(f.target, fact.q_rank)
     m = fact.middle
     minv = fact.middle_inverse
-    if (m.rows, m.cols) != (b_ext.ngens, a_ext.ngens):
+    if (m.rows, m.cols) != (b_ext.ngens, f.source.ngens):
         return False
-    ident_a = LambdaMatrix.identity(model, a_ext.ngens)
+    ident_a = LambdaMatrix.identity(model, f.source.ngens)
     ident_b = LambdaMatrix.identity(model, b_ext.ngens)
-    mid = ModuleMorphism(a_ext, b_ext, m, check=False)
+    mid = ModuleMorphism(f.source, b_ext, m, check=False)
     if not mid.well_defined(radius):
         return False
     left = compose(minv, m) - ident_a
     right = compose(m, minv) - ident_b
-    if not ModuleMorphism(a_ext, a_ext, left, check=False).is_zero(radius):
+    if not ModuleMorphism(f.source, f.source, left,
+                          check=False).is_zero(radius):
         return False
     if not ModuleMorphism(b_ext, b_ext, right, check=False).is_zero(radius):
         return False
@@ -454,31 +453,28 @@ def verify_factorization(fact: Factorization, radius: int = 4) -> bool:
     return ModuleMorphism(f.source, f.target, diff, check=False).is_zero(radius)
 
 
-def _try_middle(f: ModuleMorphism, m_rank: int, q_rank: int, rows,
+def _try_middle(f: ModuleMorphism, q_rank: int, rows,
                 radius: int) -> Factorization | None:
     """Fix candidate completion rows, then solving for the inverse is linear."""
     model = f.source.model
-    a_ext = _stabilized(f.source, m_rank)
     b_ext = _stabilized(f.target, q_rank)
-    middle = LambdaMatrix.zero(model, b_ext.ngens, a_ext.ngens)
+    middle = LambdaMatrix.zero(model, b_ext.ngens, f.source.ngens)
     for i in range(f.target.ngens):
         for j in range(f.source.ngens):
             middle.data[i][j] = f.matrix.data[i][j]
     for k, row in enumerate(rows):
         for j, e in enumerate(row):
             middle.data[f.target.ngens + k][j] = e
-    # stabilizing identity block: Lambda^m maps onto the q-part when shapes
-    # allow; here we only use m_rank = 0 candidates plus coordinate rows.
-    mid = ModuleMorphism(a_ext, b_ext, middle, check=False)
+    mid = ModuleMorphism(f.source, b_ext, middle, check=False)
     if not mid.well_defined(radius):
         return None
     system = LambdaLinearSystem(model, radius)
-    system.add_var("inv", a_ext.ngens, b_ext.ngens)
+    system.add_var("inv", f.source.ngens, b_ext.ngens)
     terms = [(1, None, "inv", middle)]
-    if a_ext.relations.cols:
-        system.add_var("u1", a_ext.relations.cols, a_ext.ngens)
-        terms.append((-1, a_ext.relations, "u1", None))
-    system.add_constraint(terms, LambdaMatrix.identity(model, a_ext.ngens))
+    if f.source.relations.cols:
+        system.add_var("u1", f.source.relations.cols, f.source.ngens)
+        terms.append((-1, f.source.relations, "u1", None))
+    system.add_constraint(terms, LambdaMatrix.identity(model, f.source.ngens))
     terms = [(1, middle, "inv", None)]
     if b_ext.relations.cols:
         system.add_var("u2", b_ext.relations.cols, b_ext.ngens)
@@ -486,41 +482,43 @@ def _try_middle(f: ModuleMorphism, m_rank: int, q_rank: int, rows,
     system.add_constraint(terms, LambdaMatrix.identity(model, b_ext.ngens))
     if b_ext.relations.cols:
         terms = [(1, None, "inv", b_ext.relations)]
-        if a_ext.relations.cols:
-            system.add_var("w", a_ext.relations.cols, b_ext.relations.cols)
-            terms.append((-1, a_ext.relations, "w", None))
+        if f.source.relations.cols:
+            system.add_var("w", f.source.relations.cols, b_ext.relations.cols)
+            terms.append((-1, f.source.relations, "w", None))
         system.add_constraint(
-            terms, LambdaMatrix.zero(model, a_ext.ngens, b_ext.relations.cols))
+            terms,
+            LambdaMatrix.zero(model, f.source.ngens, b_ext.relations.cols))
     sol = system.solve()
     if sol is None:
         return None
-    fact = Factorization(f, m_rank, q_rank, middle, sol["inv"])
+    fact = Factorization(f, q_rank, middle, sol["inv"])
     if verify_factorization(fact, radius):
         return fact
     return None
 
 
-def search_factorization(f: ModuleMorphism, radius: int = 4,
-                         max_rank: int = 4) -> Factorization | None:
+def search_factorization(f: ModuleMorphism,
+                         radius: int = 4) -> Factorization | None:
     """Find a mono-epi middle through free complements, smallest first.
 
     Candidate completion rows are coordinate projections of the source in
-    deterministic order; the inverse solve certifies invertibility.
+    deterministic order, for complements of rank at most 4; the inverse
+    solve certifies invertibility.
     """
     import itertools
     model = f.source.model
     # q_rank = 0: f itself must be invertible
-    fact = _try_middle(f, 0, 0, [], radius)
+    fact = _try_middle(f, 0, [], radius)
     if fact is not None:
         return fact
-    for q_rank in range(1, max_rank + 1):
+    for q_rank in range(1, 5):
         for combo in itertools.combinations(range(f.source.ngens), q_rank):
             rows = []
             for idx in combo:
                 row = [model.zero()] * f.source.ngens
                 row[idx] = model.one()
                 rows.append(row)
-            fact = _try_middle(f, 0, q_rank, rows, radius)
+            fact = _try_middle(f, q_rank, rows, radius)
             if fact is not None:
                 return fact
     return None

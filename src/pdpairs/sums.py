@@ -1,11 +1,15 @@
 """Interior and boundary connected sums, and realization of triples.
 
 Both sums move the operands to the free product ring by extension of
-scalars, then glue: the interior sum wedges the complexes at a fresh
-basepoint cell, removes the designated top cells and attaches one new top
-cell along the sum of their attaching spheres; the boundary sum identifies
-marked boundary discs with a sign flip, after which the disc becomes an
-interior cell and the two boundary components merge.
+scalars, then glue in one step: a remap per operand sends each cell to a
+signed cell of the sum, and from the remaps alone the glue builds the
+boundary matrices, the diagonals, the subcomplex and the carried boundary
+components.  The interior sum's remap wedges the complexes at a fresh
+basepoint cell and leaves out the designated top cells, and one new top
+cell is attached along the sum of their attaching spheres.  The boundary
+sum's remap identifies the marked boundary discs and their rims with a sign
+flip; the disc becomes an interior cell and the two chosen boundary
+components merge.
 
 Realization rebuilds a candidate pair from two-skeleton data and a
 factorization of the nu representative through the augmentation ideal,
@@ -79,7 +83,7 @@ def _require_verified(pair, verdict):
     return verdict
 
 
-def _embedded_diag_tensor(tensor, model, remap, sign_map=None):
+def _embedded_diag_tensor(tensor, model, remap):
     out = LambdaTensor(model)
     for (a, g, b), coeff in tensor.terms.items():
         na, sa = remap[a]
@@ -97,9 +101,13 @@ def _embed_key(key, source_model, target_model):
         .is_unit_monomial()[0]
 
 
-def _carried_component(comp, k, source_model, model, remap):
-    """Boundary component comp of operand k, carried into the sum."""
-    cells = {d: tuple(sorted(remap[(d, i)][0][1] for i in idxs))
+def _carried_component(comp, k, source_model, model, remap, dropped):
+    """Boundary component comp of operand k, carried into the sum.
+
+    Cells in dropped (pairs (k, cell)) are left out.
+    """
+    cells = {d: tuple(sorted(remap[(d, i)][0][1] for i in idxs
+                             if (k, (d, i)) not in dropped))
              for d, idxs in comp.cells.items()}
     kappa = {g: _embed_key(key, source_model, model)
              for g, key in comp.kappa.items()}
@@ -110,12 +118,83 @@ def _carried_component(comp, k, source_model, model, remap):
                              kappa, disc)
 
 
+def _carried_boundary(model, pair, remap, cell, rows):
+    """The boundary of an operand cell, as a chain of the sum."""
+    d, i = cell
+    bd = pair.P.boundary_or_zero(d)
+    chain = [model.zero()] * rows
+    for r in range(bd.rows):
+        e = bd.data[r][i]
+        if e.is_zero():
+            continue
+        (_, row), rsign = remap[(d - 1, r)]
+        chain[row] = chain[row] + embed_ring(e, model) * rsign
+    return chain
+
+
+def _glue(model, pairs, names, remaps, dropped, new_cells=(),
+          interior=frozenset()):
+    """Glue the operands along their remaps into one complex.
+
+    remaps[k] sends each cell of operand k to (cell of the sum, sign);
+    the pairs (k, cell) in dropped are identified away and give the sum no
+    column, diagonal, subcomplex cell or component cell.  new_cells pairs
+    each cell of the sum that no operand supplies with its boundary; the
+    pairs in interior keep their cell but leave the subcomplex.  Returns the
+    complex, the diagonals, the subcomplex and the carried components.
+    """
+    ranks = {d: len(ns) for d, ns in names.items() if ns}
+    boundary = {}
+    for d in sorted(ranks):
+        if d == 0:
+            continue
+        m = LambdaMatrix.zero(model, ranks.get(d - 1, 0), ranks[d])
+        columns = [(remaps[k][(d, i)][0][1],
+                    _carried_boundary(model, pair, remaps[k], (d, i),
+                                      m.rows))
+                   for k, pair in enumerate(pairs)
+                   for i in range(pair.P.rank(d))
+                   if (k, (d, i)) not in dropped]
+        columns += [(j, chain) for (dd, j), chain in new_cells if dd == d]
+        for col, chain in columns:
+            for row, e in enumerate(chain):
+                m.data[row][col] = e
+        boundary[d] = m
+    new_complex = LambdaComplex(model, ranks, boundary,
+                                augmentation=[model.one()] * ranks[0],
+                                basis_names={d: tuple(ns)
+                                             for d, ns in names.items()})
+    diagonal = {}
+    sub = {}
+    comps = []
+    off_boundary = dropped | interior
+    for k, pair in enumerate(pairs):
+        for cell, tensor in pair.diagonal.items():
+            if (k, cell) not in dropped:
+                diagonal[remaps[k][cell][0]] = _embedded_diag_tensor(
+                    tensor, model, remaps[k])
+        for d, idxs in pair.sub_cells.items():
+            for i in idxs:
+                if (k, (d, i)) not in off_boundary:
+                    dd, j = remaps[k][(d, i)][0]
+                    sub.setdefault(dd, set()).add(j)
+        comps.extend(_carried_component(comp, k, pair.model, model,
+                                        remaps[k], off_boundary)
+                     for comp in pair.boundary_components)
+    return new_complex, diagonal, sub, comps
+
+
+def _cell_maps(remaps):
+    return [{c: target for c, (target, _) in remap.items()}
+            for remap in remaps]
+
+
 def interior_sum(recipe: SumRecipe, verdicts=(None, None),
                  radius: int = 4) -> SumOutcome:
     """Chain-level interior connected sum along designated top cells."""
     p1, p2 = recipe.left, recipe.right
-    v1 = _require_verified(p1, verdicts[0])
-    v2 = _require_verified(p2, verdicts[1])
+    _require_verified(p1, verdicts[0])
+    _require_verified(p2, verdicts[1])
     n = p1.dimension
     if p2.dimension != n:
         raise SumError("operands have different dimensions")
@@ -167,72 +246,22 @@ def interior_sum(recipe: SumRecipe, verdicts=(None, None),
                     continue
                 remaps[k][(d, i)] = ((d, len(names[d])), 1)
                 names[d].append(f"{pair.P.name_of(d, i)}.{k + 1}")
+    # the new top cell, attached along the sum of the operands' top chains
     top_name = "Esum"
-    new_top_idx = len(names.setdefault(n, []))
+    new_top = (n, len(names.setdefault(n, [])))
     names[n].append(top_name)
-    ranks = {d: len(ns) for d, ns in names.items()}
-    boundary = {}
-    for d in sorted(ranks):
-        if d == 0:
-            continue
-        m = LambdaMatrix.zero(model, ranks.get(d - 1, 0), ranks[d])
-        for k, pair in enumerate(pairs):
-            bd = pair.P.boundary_or_zero(d)
-            for (dd, i), ((_, col), sign) in list(remaps[k].items()):
-                if dd != d:
-                    continue
-                for r in range(bd.rows):
-                    e = bd.data[r][i]
-                    if e.is_zero():
-                        continue
-                    (_, row), rsign = remaps[k][(d - 1, r)]
-                    m.data[row][col] = m.data[row][col] + \
-                        embed_ring(e, model) * (sign * rsign)
-        boundary[d] = m
-    # the new top cell: sum of the embedded attaching chains
-    top_chains = []
-    for k, pair in enumerate(pairs):
-        bd = pair.P.boundary_or_zero(n)
-        chain = [model.zero()] * ranks[n - 1]
-        for r in range(bd.rows):
-            e = bd.data[r][tops[k][1]]
-            if e.is_zero():
-                continue
-            (_, row), rsign = remaps[k][(n - 1, r)]
-            chain[row] = chain[row] + embed_ring(e, model) * rsign
-        top_chains.append(chain)
-    for row in range(ranks[n - 1]):
-        boundary[n].data[row][new_top_idx] = \
-            top_chains[0][row] + top_chains[1][row]
-    new_complex = LambdaComplex(model, ranks, boundary,
-                                augmentation=[model.one()] * ranks[0],
-                                basis_names={d: tuple(ns)
-                                             for d, ns in names.items()})
-    # diagonals
-    diagonal = {}
-    for k, pair in enumerate(pairs):
-        for (d, i), tensor in pair.diagonal.items():
-            if (d, i) == tops[k]:
-                continue
-            diagonal[remaps[k][(d, i)][0]] = _embedded_diag_tensor(
-                tensor, model, remaps[k])
-    diagonal[(n, new_top_idx)] = _sum_top_diagonal(
-        model, pairs, tops, remaps, new_complex, (n, new_top_idx),
-        top_chains, radius)
-    sub = {}
-    comps = []
-    for k, pair in enumerate(pairs):
-        for d, idxs in pair.sub_cells.items():
-            for i in idxs:
-                (dd, j), _ = remaps[k][(d, i)]
-                sub.setdefault(dd, []).append(j)
-        comps.extend(_carried_component(comp, k, pair.model, model, remaps[k])
-                     for comp in pair.boundary_components)
+    top_chains = [_carried_boundary(model, pair, remaps[k], tops[k],
+                                    len(names[n - 1]))
+                  for k, pair in enumerate(pairs)]
+    new_complex, diagonal, sub, comps = _glue(
+        model, pairs, names, remaps, {(0, tops[0]), (1, tops[1])},
+        new_cells=[(new_top, [a + b for a, b in zip(*top_chains)])])
+    diagonal[new_top] = _sum_top_diagonal(
+        model, pairs, tops, remaps, new_complex, new_top, top_chains, radius)
     out_pair = ChainPairData(new_complex, sub, diagonal,
                              boundary_components=comps, top_cell=top_name,
                              name=f"{p1.name}#{p2.name}")
-    cell_maps = [{c: remaps[k][c][0] for c in remaps[k]} for k in (0, 1)]
-    return SumOutcome(out_pair, recipe, cell_maps, new_top=top_name)
+    return SumOutcome(out_pair, recipe, _cell_maps(remaps), new_top=top_name)
 
 
 def _sum_top_diagonal(model, pairs, tops, remaps, new_complex, new_cell,
@@ -242,30 +271,25 @@ def _sum_top_diagonal(model, pairs, tops, remaps, new_complex, new_cell,
     ends_translations = []
     middles = []
     for k, pair in enumerate(pairs):
-        tensor = pair.diagonal[tops[k]]
         k_end = None
-        mid = LambdaTensor(model)
-        for (a, g, b), coeff in tensor.terms.items():
+        mid = LambdaTensor(pair.model)
+        for (a, g, b), coeff in pair.diagonal[tops[k]].terms.items():
             if a[0] == 0 and b == tops[k]:
                 unit = coeff.is_unit_monomial()
                 if unit is None or unit[1] != 1 or unit[0] != pair.model.identity() \
                         or g != pair.model.identity():
                     raise SumError("top diagonal end term is not normalized")
-                continue
-            if b[0] == 0 and a == tops[k]:
+            elif b[0] == 0 and a == tops[k]:
                 unit = coeff.is_unit_monomial()
                 if unit is None or unit[1] != 1 or unit[0] != pair.model.identity():
                     raise SumError("top diagonal end term is not normalized")
                 k_end = _embed_key(g, pair.model, model)
-                continue
-            na, sa = remaps[k][a]
-            nb, sb = remaps[k][b]
-            mid.add_term(na, _embed_key(g, pair.model, model), nb,
-                         embed_ring(coeff, model) * (sa * sb))
+            else:
+                mid.add_term(a, g, b, coeff)
         if k_end is None:
             raise SumError("top diagonal has no end term")
         ends_translations.append(k_end)
-        middles.append(mid)
+        middles.append(_embedded_diag_tensor(mid, model, remaps[k]))
     k1, k2 = ends_translations
     out = LambdaTensor(model)
     out.add_term((0, 0), model.identity(), new_cell, model.one())
@@ -312,7 +336,8 @@ def boundary_sum(recipe: SumRecipe, verdicts=(None, None),
     rim2 = p2.cell(comp2.marked_disc[1])
     if p1.P.rank(0) != 1 or p2.P.rank(0) != 1:
         raise SumError("operands must have a single basepoint")
-    # remap: operand 1 keeps everything; operand 2 drops v2, disc2, rim2
+    # remap: operand 1 keeps everything; operand 2's basepoint, disc and
+    # rim are identified with operand 1's, the disc and rim with a sign flip
     names = {}
     remaps = [dict(), dict()]
     for d in sorted(set(p1.P.degrees()) | set(p2.P.degrees())):
@@ -330,89 +355,34 @@ def boundary_sum(recipe: SumRecipe, verdicts=(None, None),
             else:
                 remaps[1][(d, i)] = ((d, len(names[d])), 1)
                 names[d].append(f"{p2.P.name_of(d, i)}.2")
-    ranks = {d: len(ns) for d, ns in names.items() if ns}
-    boundary = {}
-    for d in sorted(ranks):
-        if d == 0:
-            continue
-        m = LambdaMatrix.zero(model, ranks.get(d - 1, 0), ranks[d])
-        for k, pair in enumerate(pairs):
-            bd = pair.P.boundary_or_zero(d)
-            for i in range(pair.P.rank(d)):
-                if k == 1 and (d, i) in (disc2, rim2):
-                    continue  # identified away
-                (_, col), csign = remaps[k][(d, i)]
-                for r in range(bd.rows):
-                    e = bd.data[r][i]
-                    if e.is_zero():
-                        continue
-                    (_, row), rsign = remaps[k][(d - 1, r)]
-                    m.data[row][col] = m.data[row][col] + \
-                        embed_ring(e, model) * (csign * rsign)
-        boundary[d] = m
-    new_complex = LambdaComplex(model, ranks, boundary,
-                                augmentation=[model.one()],
-                                basis_names={d: tuple(ns)
-                                             for d, ns in names.items()})
-    diagonal = {}
-    for k, pair in enumerate(pairs):
-        for (d, i), tensor in pair.diagonal.items():
-            if k == 1 and (d, i) in (disc2, rim2):
-                continue
-            target_cell, csign = remaps[k][(d, i)]
-            if csign != 1:
-                raise SumError("unexpected sign on a retained cell")
-            diagonal[target_cell] = _embedded_diag_tensor(
-                tensor, model, remaps[k])
-    # subcomplex: both boundaries minus the identified disc interiors
-    sub = {}
-    for k, pair in enumerate(pairs):
-        for d, idxs in pair.sub_cells.items():
-            for i in idxs:
-                if (d, i) == (disc1 if k == 0 else disc2):
-                    continue
-                if k == 1 and (d, i) == rim2:
-                    continue
-                (dd, j), _ = remaps[k][(d, i)]
-                sub.setdefault(dd, set()).add(j)
-    sub = {d: tuple(sorted(v)) for d, v in sub.items()}
-    comps = []
+    # operand 1's disc becomes an interior cell
+    new_complex, diagonal, sub, carried = _glue(
+        model, pairs, names, remaps, {(1, disc2), (1, rim2)},
+        interior={(0, disc1)})
+    # the chosen components merge into one surface
+    chosen = {f"{comp1.name}.1", f"{comp2.name}.2"}
     merged_cells = {}
     merged_kappa = {}
-    merged_gens = []
-    for k, pair, comp in ((0, p1, comp1), (1, p2, comp2)):
-        drop = {disc1 if k == 0 else disc2}
-        if k == 1:
-            drop.add(rim2)
+    for k, comp in enumerate(c for c in carried if c.name in chosen):
         for d, idxs in comp.cells.items():
-            for i in idxs:
-                if (d, i) in drop:
-                    continue
-                dd, j = remaps[k][(d, i)][0]
-                merged_cells.setdefault(dd, set()).add(j)
+            if idxs:
+                merged_cells.setdefault(d, set()).update(idxs)
         for g, key in comp.kappa.items():
-            merged_kappa[f"{g}.{k + 1}"] = _embed_key(key, pair.model, model)
-            merged_gens.append(f"{g}.{k + 1}")
+            merged_kappa[f"{g}.{k + 1}"] = key
     merged_name = f"{comp1.name}.1#{comp2.name}.2"
-    comps.append(BoundaryComponent(
+    comps = [BoundaryComponent(
         merged_name,
         {d: tuple(sorted(v)) for d, v in merged_cells.items()},
-        SurfaceDescription(merged_name, tuple(merged_gens)),
-        merged_kappa))
-    for k, pair in enumerate(pairs):
-        chosen = comp1 if k == 0 else comp2
-        for comp in pair.boundary_components:
-            if comp.name != chosen.name:
-                comps.append(_carried_component(comp, k, pair.model, model,
-                                                remaps[k]))
+        SurfaceDescription(merged_name, tuple(merged_kappa)),
+        merged_kappa)]
+    comps += [c for c in carried if c.name not in chosen]
     top = None
     if p1.top_cell:
         top = f"{p1.top_cell}.1"
     out_pair = ChainPairData(new_complex, sub, diagonal,
                              boundary_components=comps, top_cell=top,
                              name=f"{p1.name}&{p2.name}")
-    cell_maps = [{c: remaps[k][c][0] for c in remaps[k]} for k in (0, 1)]
-    return SumOutcome(out_pair, recipe, cell_maps,
+    return SumOutcome(out_pair, recipe, _cell_maps(remaps),
                       merged_component=merged_name)
 
 
@@ -573,10 +543,6 @@ def realize_free_case(inp: RealizationInput, radius: int = 4) -> RealizationOutc
     if inp.factorization is None:
         raise SumError("missing factorization")
     fact = inp.factorization
-    notes = []
-    if fact.free_rank:
-        skeleton = _wedge_free_2_cells(skeleton, fact.free_rank)
-        notes.append(f"stabilized skeleton by {fact.free_rank} free 2-cells")
     rel = skeleton.D
     f2 = F_functor(rel, 2)
     ideal = augmentation_ideal(model)
@@ -600,46 +566,11 @@ def realize_free_case(inp: RealizationInput, radius: int = 4) -> RealizationOutc
     if f2.relations.cols and not compose(phi, f2.relations).is_zero():
         raise SumError("phi does not vanish on im d_1^*; corrupted input")
     d3_rel = phi.bar_transpose()  # (f2.ngens) x (1 + q)
-    return _assemble_realized(skeleton, d3_rel, inp, notes, radius)
-
-
-def _wedge_free_2_cells(skeleton: ChainPairData, m: int) -> ChainPairData:
-    model = skeleton.model
-    P = skeleton.P
-    ranks = dict(P.ranks)
-    ranks[2] = ranks.get(2, 0) + m
-    names = {d: list(ns) for d, ns in P.basis_names.items()}
-    names.setdefault(2, [])
-    base = len(names[2])
-    for k in range(m):
-        names[2].append(f"B{k}")
-    boundary = dict(P.boundary)
-    if 2 in boundary:
-        old = boundary[2]
-        new = LambdaMatrix.zero(model, old.rows, old.cols + m)
-        for i in range(old.rows):
-            for j in range(old.cols):
-                new.data[i][j] = old.data[i][j]
-        boundary[2] = new
-    complex2 = LambdaComplex(model, ranks, boundary,
-                             augmentation=P.augmentation,
-                             basis_names={d: tuple(v)
-                                          for d, v in names.items()},
-                             check=False)
-    diag = dict(skeleton.diagonal)
-    for k in range(m):
-        t = LambdaTensor(model)
-        cell = (2, base + k)
-        t.add_term((0, 0), model.identity(), cell, model.one())
-        t.add_term(cell, model.identity(), (0, 0), model.one())
-        diag[cell] = t
-    return ChainPairData(complex2, dict(skeleton.sub_cells), diag,
-                         boundary_components=skeleton.boundary_components,
-                         name=skeleton.name)
+    return _assemble_realized(skeleton, d3_rel, inp, radius)
 
 
 def _assemble_realized(skeleton: ChainPairData, d3_rel: LambdaMatrix,
-                       inp: RealizationInput, notes, radius):
+                       inp: RealizationInput, radius):
     model = skeleton.model
     P = skeleton.P
     n_new = d3_rel.cols
@@ -691,7 +622,7 @@ def _assemble_realized(skeleton: ChainPairData, d3_rel: LambdaMatrix,
                          name=f"{inp.name}-realized")
     verdict = verify_pd(pair, radius)
     return RealizationOutcome(pair, verdict,
-                              contradiction=not verdict.passed(), notes=notes)
+                              contradiction=not verdict.passed())
 
 
 def _adjust_lifts_for_boundary(skeleton, lift_cols, inp, solver):

@@ -161,6 +161,8 @@ def golden_runs():
             for cmd in ("verify", "homology", "nu", "realize")]
     runs.append(["sum", "solid_torus.pdp", "solid_torus.pdp",
                  "--boundary", "torus", "torus", "--json"])
+    runs.append(["sum", "lens_3.pdp", "lens_3.pdp",
+                 "--interior", "E", "E", "--json"])
     runs.append(["catalog", "--json"])
     return runs
 

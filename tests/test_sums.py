@@ -1,4 +1,12 @@
-"""Connected sums and realization round trips."""
+"""Connected sums and realization round trips.
+
+``PYTHONPATH=src python tests/test_sums.py`` re-records
+``tests/golden/sums.json`` from the current tree; do that only for a change
+that means to alter the pairs the sums build.
+"""
+
+import json
+import pathlib
 
 import pytest
 
@@ -9,6 +17,7 @@ from pdpairs.catalog import (
     build_solid_torus,
     build_solid_torus_collared,
 )
+from pdpairs.dsl import load_scenario
 from pdpairs.invariants import extract_triple, nu_difference_is_null, nu_of_pair
 from pdpairs.pairs import SurfaceDescription, verify_pd
 from pdpairs.sums import (
@@ -168,3 +177,117 @@ def test_realize_detects_mismatched_factorization():
     inp.factorization.middle = LambdaMatrix.identity(pair.model, 2)
     with pytest.raises(SumError, match="does not match"):
         realize_free_case(inp)
+
+
+# ---------------------------------------------------------------------------
+# Golden sums: every cell, entry and diagonal term, in iteration order
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "sums.json"
+FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "src" / "pdpairs" \
+    / "fixtures"
+
+
+def _fixture(name):
+    scenario = load_scenario((FIXTURES / name).read_text())
+    return scenario.pairs[sorted(scenario.pairs)[0]]
+
+
+def _interior_of(left, right, tops):
+    recipe = SumRecipe("interior", left, right, top_cells=tops)
+    return interior_sum(recipe, (verify_pd(left), verify_pd(right)))
+
+
+def _boundary_of(left, right, comps):
+    recipe = SumRecipe("boundary", left, right, components=comps)
+    return boundary_sum(recipe, (verify_pd(left), verify_pd(right)))
+
+
+def _triple_sum(build):
+    acc = _interior_of(build(), build(), ("E2", "E2")).pair
+    return _interior_of(acc, build(), ("Esum", "E2"))
+
+
+def golden_sums():
+    """Name -> builder of every sum whose pair the golden file pins."""
+    return {
+        "d3c#d3c": lambda: _interior_of(build_d3_collared(),
+                                        build_d3_collared(), ("E2", "E2")),
+        "stc#stc": lambda: _interior_of(build_solid_torus_collared(),
+                                        build_solid_torus_collared(),
+                                        ("E2", "E2")),
+        "stc#d3c": lambda: _interior_of(build_solid_torus_collared(),
+                                        build_d3_collared(), ("E2", "E2")),
+        "L(2,1)#L(3,1)": lambda: _interior_of(build_lens(2), build_lens(3),
+                                              ("E", "E")),
+        "L(3,1)#L(3,1)": lambda: _interior_of(build_lens(3), build_lens(3),
+                                              ("E", "E")),
+        "solid_torus.pdp&solid_torus.pdp": lambda: _boundary_of(
+            _fixture("solid_torus.pdp"), _fixture("solid_torus.pdp"),
+            ("torus", "torus")),
+        "st#st#st": lambda: _triple_sum(build_solid_torus_collared),
+        "d3#d3#d3": lambda: _triple_sum(build_d3_collared),
+        "handlebody-genus-2": lambda: _boundary_of(
+            build_solid_torus(), build_solid_torus(), ("torus", "torus")),
+    }
+
+
+def _ring(e):
+    return [[repr(k), c] for k, c in e.support.items()]
+
+
+def _group(group):
+    if isinstance(group, SurfaceDescription):
+        return [group.name, list(group.gens), list(group.relators)]
+    return type(group).__name__
+
+
+def fingerprint(outcome):
+    """The sum's pair and cell maps; every dict becomes a list in its order."""
+    pair = outcome.pair
+    P = pair.P
+    return {
+        "names": [[d, list(P.basis_names[d])] for d in P.degrees()],
+        "augmentation": [_ring(e) for e in P.augmentation],
+        "boundary": [[d, [[r, c, _ring(e)]
+                          for r, row in enumerate(m.data)
+                          for c, e in enumerate(row) if not e.is_zero()]]
+                     for d, m in P.boundary.items()],
+        "diagonal": [[list(cell), [[list(a), repr(g), list(b), _ring(x)]
+                                    for (a, g, b), x in t.terms.items()]]
+                     for cell, t in pair.diagonal.items()],
+        "sub_cells": [[d, list(idxs)] for d, idxs in pair.sub_cells.items()],
+        "components": [{"name": comp.name,
+                        "cells": [[d, list(idxs)]
+                                  for d, idxs in comp.cells.items()],
+                        "group": _group(comp.group),
+                        "kappa": [[g, repr(key)]
+                                  for g, key in comp.kappa.items()],
+                        "marked_disc": comp.marked_disc and
+                        list(comp.marked_disc)}
+                       for comp in pair.boundary_components],
+        "top_cell": pair.top_cell,
+        "name": pair.name,
+        "cell_maps": [[[list(a), list(b)] for a, b in cm.items()]
+                      for cm in outcome.cell_maps],
+        "new_top": outcome.new_top,
+        "merged_component": outcome.merged_component,
+    }
+
+
+def record_golden():
+    runs = {name: fingerprint(build())
+            for name, build in golden_sums().items()}
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(runs, indent=1) + "\n")
+
+
+@pytest.mark.parametrize("name", list(golden_sums()))
+def test_sum_matches_golden(name):
+    golden = json.loads(GOLDEN.read_text())
+    assert sorted(golden) == sorted(golden_sums())
+    got = json.loads(json.dumps(fingerprint(golden_sums()[name]())))
+    assert got == golden[name]
+
+
+if __name__ == "__main__":
+    record_golden()
