@@ -1,10 +1,8 @@
 """Builtin example pairs and their expected behaviour.
 
 Each builder returns a freshly constructed ChainPairData, so entries stay
-immutable from the caller's point of view.  Diagonals are hand-computed and
-revalidated by the pair constructor on every build; the one exception is
-the collared solid torus, whose top shell diagonal is produced by the
-bounded solver at build time (and validated the same way).
+immutable from the caller's point of view.  Diagonals are literal data,
+revalidated by the pair constructor on every build.
 """
 
 from __future__ import annotations
@@ -13,12 +11,7 @@ from dataclasses import dataclass, field
 
 from .chains import LambdaComplex, LambdaMatrix
 from .groups import FiniteTable, FreeAbelian, InfiniteCyclic, TrivialGroup
-from .pairs import (
-    BoundaryComponent,
-    ChainPairData,
-    LambdaTensor,
-    solve_diagonal_cell,
-)
+from .pairs import BoundaryComponent, ChainPairData, LambdaTensor
 
 
 def _tensor(model, complex_, *terms):
@@ -181,14 +174,15 @@ def build_solid_torus_collared() -> ChainPairData:
         c.cell_index("S"): _tensor(z, c, (1, "w", e, "S"), (1, "S", e, "w")),
         c.cell_index("E2"): _tensor(z, c, (1, "w", e, "E2"),
                                     (1, "E2", e, "w")),
+        # end terms at w, as for E2, so both top cells share their end terms
+        c.cell_index("E1"): _tensor(z, c, (1, "w", e, "E1"),
+                                    (1, "E1", e, "w"), (1, "b", tk, "m"),
+                                    (1, "s", e, "T"), (1, "s", e, "d"),
+                                    (-1, "s", e, "m"), (1, "s", tk, "m"),
+                                    (1, "T", e, "s"), (1, "d", e, "s"),
+                                    (t, "m", -1, "b"), (-1, "m", e, "s"),
+                                    (t, "m", -1, "s")),
     }
-    # end vertices pinned at w so both top cells share their end terms
-    w_idx = c.cell_index("w")[1]
-    solved = solve_diagonal_cell(c, diag, c.cell_index("E1"), radius=2,
-                                 end_vertices=(w_idx, w_idx))
-    if solved is None:
-        raise RuntimeError("no diagonal for the shell cell E1")
-    diag[c.cell_index("E1")] = solved
     comp = BoundaryComponent(
         "torus", {0: (0,), 1: (0, 1, 2), 2: (0, 1)},
         _torus_boundary_group(), {"x": z.identity(), "y": 1},
@@ -322,47 +316,40 @@ class CatalogEntry:
     realizable: bool = False
 
 
-def _sum_entries():
+def _sum_entries(radius):
     from .pairs import verify_pd
     from .sums import SumRecipe, boundary_sum, interior_sum
 
-    def handlebody():
-        left = build_solid_torus()
-        right = build_solid_torus()
-        lv = verify_pd(left)
-        rv = verify_pd(right)
-        return boundary_sum(SumRecipe("boundary", left, right,
-                                      components=("torus", "torus")),
-                            (lv, rv)).pair
-
-    def d3_interior():
-        left = build_d3_collared()
-        right = build_d3_collared()
-        lv = verify_pd(left)
-        rv = verify_pd(right)
-        return interior_sum(SumRecipe("interior", left, right,
-                                      top_cells=("E2", "E2")),
-                            (lv, rv)).pair
-
-    def torus_interior():
-        left = build_solid_torus_collared()
-        right = build_solid_torus_collared()
-        lv = verify_pd(left)
-        rv = verify_pd(right)
-        return interior_sum(SumRecipe("interior", left, right,
-                                      top_cells=("E2", "E2")),
-                            (lv, rv)).pair
+    def two_copies(builder, kind, names):
+        def build():
+            left = builder()
+            right = builder()
+            verdicts = (verify_pd(left, radius), verify_pd(right, radius))
+            if kind == "boundary":
+                recipe = SumRecipe(kind, left, right, components=names)
+                return boundary_sum(recipe, verdicts, radius).pair
+            recipe = SumRecipe(kind, left, right, top_cells=names)
+            return interior_sum(recipe, verdicts, radius).pair
+        return build
 
     return [
-        CatalogEntry("handlebody-genus-2", handlebody, "pass",
-                     {3: (1, ()), 2: (2, ())}),
-        CatalogEntry("interior-sum-d3-d3", d3_interior, "pass", {3: (1, ())}),
-        CatalogEntry("interior-sum-st-st", torus_interior, "pass",
-                     {3: (1, ())}),
+        CatalogEntry("handlebody-genus-2",
+                     two_copies(build_solid_torus, "boundary",
+                                ("torus", "torus")),
+                     "pass", {3: (1, ()), 2: (2, ())}),
+        CatalogEntry("interior-sum-d3-d3",
+                     two_copies(build_d3_collared, "interior", ("E2", "E2")),
+                     "pass", {3: (1, ())}),
+        CatalogEntry("interior-sum-st-st",
+                     two_copies(build_solid_torus_collared, "interior",
+                                ("E2", "E2")),
+                     "pass", {3: (1, ())}),
     ]
 
 
-def catalog_entries():
+def catalog_entries(radius: int = 4):
+    """The catalog; the sum entries verify their operands and glue at
+    radius."""
     entries = [
         CatalogEntry("d3", build_d3, "pass", {3: (1, ())}, realizable=True),
         CatalogEntry("d3-collared", build_d3_collared, "pass", {3: (1, ())}),
@@ -380,7 +367,7 @@ def catalog_entries():
                      {3: (1, ()), 2: (0, ()), 1: (0, (5,)), 0: (1, ())},
                      realizable=True),
     ]
-    entries.extend(_sum_entries())
+    entries.extend(_sum_entries(radius))
     entries.extend([
         CatalogEntry("broken-boundary-sign", build_broken_boundary_sign,
                      "fail"),

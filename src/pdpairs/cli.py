@@ -241,7 +241,7 @@ def _run_catalog_entry(entry, radius):
 def cmd_catalog(args):
     radius = search_radius(args)
     results = sorted((_run_catalog_entry(e, radius)
-                      for e in catalog_entries()),
+                      for e in catalog_entries(radius)),
                      key=lambda r: r["name"])
     all_ok = all(r["ok"] for r in results)
     if args.json:

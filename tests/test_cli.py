@@ -154,6 +154,31 @@ def test_catalog_command(capsys):
     assert "broken-noncycle-class" in out
 
 
+@pytest.mark.parametrize("argv, env", [
+    (["--radius", "1", "catalog"], None),
+    (["catalog"], "1"),
+])
+def test_catalog_sums_run_at_the_given_radius(monkeypatch, capsys,
+                                              argv, env):
+    from pdpairs import pairs
+    radii = []
+    real = pairs.verify_pd
+
+    def spy(pair, radius=4):
+        radii.append(radius)
+        return real(pair, radius)
+
+    if env is None:
+        monkeypatch.delenv("PD3_SEARCH_RADIUS", raising=False)
+    else:
+        monkeypatch.setenv("PD3_SEARCH_RADIUS", env)
+    monkeypatch.setattr(pairs, "verify_pd", spy)
+    assert main(argv) == 0
+    # two operand checks for each of the three sum entries
+    assert radii == [1] * 6
+    assert "all entries as expected" in capsys.readouterr().out
+
+
 def golden_runs():
     """Every JSON-producing command whose output the golden file pins."""
     runs = [[cmd, f.name, "--json"]

@@ -424,8 +424,63 @@ def test_solve_diagonal_cell_keeps_collared_shell_diagonal():
     complex_, partial, cell, kwargs = _collared_e1_call()
     new = solve_diagonal_cell(complex_, partial, cell, **kwargs)
     ref = solve_diagonal_cell_reference(complex_, partial, cell, **kwargs)
+    literal = build_solid_torus_collared().diagonal[cell]
     assert list(new.terms.items()) == list(ref.terms.items())
-    assert new == build_solid_torus_collared().diagonal[cell]
+    assert list(new.terms.items()) == list(literal.terms.items())
+
+
+SUM_ENTRIES = {"handlebody-genus-2", "interior-sum-d3-d3",
+               "interior-sum-st-st"}
+
+
+def test_catalog_builders_run_no_search(monkeypatch):
+    from pdpairs import catalog, intlinalg, pairs
+    calls = []
+    real_init = intlinalg.LinearSolver.__init__
+
+    def init(self, *args, **kwargs):
+        calls.append("LinearSolver")
+        real_init(self, *args, **kwargs)
+
+    def solve(*args, **kwargs):
+        calls.append("solve_diagonal_cell")
+        return solve_diagonal_cell(*args, **kwargs)
+
+    monkeypatch.setattr(intlinalg.LinearSolver, "__init__", init)
+    monkeypatch.setattr(pairs, "solve_diagonal_cell", solve)
+    entries = catalog.catalog_entries()
+    assert SUM_ENTRIES <= {e.name for e in entries}
+    for entry in entries:
+        if entry.name not in SUM_ENTRIES:
+            entry.builder()
+            assert calls == [], entry.name
+
+
+def _collared_with_shell(edit):
+    """The collared solid torus rebuilt with edit applied to E1's terms."""
+    pair = build_solid_torus_collared()
+    diagonal = dict(pair.diagonal)
+    shell = diagonal[pair.cell("E1")] = diagonal[pair.cell("E1")].copy()
+    edit(shell.terms, pair.cell)
+    return ChainPairData(pair.P, dict(pair.sub_cells), diagonal,
+                         boundary_components=pair.boundary_components,
+                         top_cell="E2")
+
+
+def test_collared_shell_literal_is_validated():
+    def flip(terms, cell):
+        key = (cell("d"), 0, cell("s"))
+        terms[key] = -terms[key]
+
+    def drop(terms, cell):
+        del terms[(cell("E1"), 0, cell("w"))]
+
+    _collared_with_shell(lambda terms, cell: None)
+    with pytest.raises(PairError,
+                       match="diagonal is not a chain map at E1"):
+        _collared_with_shell(flip)
+    with pytest.raises(PairError, match="counit law fails on cell E1"):
+        _collared_with_shell(drop)
 
 
 def test_solve_diagonal_cell_agrees_with_reference_on_no_diagonal():
