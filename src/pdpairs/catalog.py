@@ -313,7 +313,6 @@ class CatalogEntry:
     expected_status: str
     expected_homology: dict = field(default_factory=dict)
     # relative H_*(D; Z^omega) rows: degree -> (free rank, torsion tuple)
-    realizable: bool = False
 
 
 def _sum_entries(radius):
@@ -351,21 +350,18 @@ def catalog_entries(radius: int = 4):
     """The catalog; the sum entries verify their operands and glue at
     radius."""
     entries = [
-        CatalogEntry("d3", build_d3, "pass", {3: (1, ())}, realizable=True),
+        CatalogEntry("d3", build_d3, "pass", {3: (1, ())}),
         CatalogEntry("d3-collared", build_d3_collared, "pass", {3: (1, ())}),
         CatalogEntry("solid-torus", build_solid_torus, "pass",
-                     {3: (1, ()), 2: (1, ())}, realizable=True),
+                     {3: (1, ()), 2: (1, ())}),
         CatalogEntry("solid-torus-collared", build_solid_torus_collared,
                      "pass", {3: (1, ())}),
         CatalogEntry("lens-2", lambda: build_lens(2), "pass",
-                     {3: (1, ()), 2: (0, ()), 1: (0, (2,)), 0: (1, ())},
-                     realizable=True),
+                     {3: (1, ()), 2: (0, ()), 1: (0, (2,)), 0: (1, ())}),
         CatalogEntry("lens-3", lambda: build_lens(3), "pass",
-                     {3: (1, ()), 2: (0, ()), 1: (0, (3,)), 0: (1, ())},
-                     realizable=True),
+                     {3: (1, ()), 2: (0, ()), 1: (0, (3,)), 0: (1, ())}),
         CatalogEntry("lens-5", lambda: build_lens(5), "pass",
-                     {3: (1, ()), 2: (0, ()), 1: (0, (5,)), 0: (1, ())},
-                     realizable=True),
+                     {3: (1, ()), 2: (0, ()), 1: (0, (5,)), 0: (1, ())}),
     ]
     entries.extend(_sum_entries(radius))
     entries.extend([

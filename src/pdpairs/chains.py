@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groups import GroupModel, RingElem
-from .intlinalg import IntMatrix, LinearSolver, homology_at
+from .intlinalg import IntMatrix, LinearSolver, homology_at, mat_vec
 
 
 class ChainError(ValueError):
@@ -65,6 +65,12 @@ class LambdaMatrix:
             if len(r) != cols:
                 raise ChainError("ragged matrix")
         return cls(model, rows, cols, [list(r) for r in rows_list])
+
+    @classmethod
+    def from_columns(cls, model, rows, cols):
+        """The rows x len(cols) matrix whose column j is cols[j]."""
+        return cls(model, rows, len(cols),
+                   [[col[i] for col in cols] for i in range(rows)])
 
     @classmethod
     def from_int_rows(cls, model, rows_list):
@@ -283,14 +289,15 @@ class LambdaLinearSystem:
     """General linear constraints over Lambda in several matrix unknowns.
 
     Constraints have the form  sum_t  c_t * (P_t . X_{v_t} . Q_t) = RHS,
-    with module composition throughout.  Unknown entries are supported on a
-    word-metric ball (the whole group for finite models), and the compiled
-    problem is one integer linear system.
+    with module composition throughout.  The system is stated once, with
+    no radius; solve(radius) supports the unknown entries on
+    model.ball(radius) (the whole group for finite models, where the answer
+    is exact) and compiles one integer linear system.  The same system can
+    be solved at several radii, as bounded_search does.
     """
 
-    def __init__(self, model: GroupModel, radius: int = 4):
+    def __init__(self, model: GroupModel):
         self.model = model
-        self.support = model.ball(radius)
         self.vars = {}
         self.var_order = []
         self.constraints = []
@@ -322,22 +329,22 @@ class LambdaLinearSystem:
             raise ChainError("rhs shape mismatch")
         self.constraints.append((terms, rhs))
 
-    def _var_offset(self):
+    def _var_offset(self, ns):
         offsets = {}
         total = 0
-        ns = len(self.support)
         for name in self.var_order:
             rows, cols = self.vars[name]
             offsets[name] = total
             total += rows * cols * ns
         return offsets, total
 
-    def _compile(self, offsets):
-        """The integer system: one dict col -> value per equation, and the
-        right-hand side.  Kept apart from solve so that the row index, which
-        only the build needs, is freed before the elimination starts."""
+    def _compile(self, support, offsets):
+        """The integer system on support: one dict col -> value per
+        equation, and the right-hand side.  Kept apart from solve so that
+        the row index, which only the build needs, is freed before the
+        elimination starts."""
         model = self.model
-        ns = len(self.support)
+        ns = len(support)
         row_index = {}
         row_dicts = []  # one dict col -> value per integer equation
         rhs_vals = []
@@ -380,7 +387,7 @@ class LambdaLinearSystem:
                                        for u, cu in Q.data[q][ss].support.items()]
                         if not pr_list or not qs_list:
                             continue
-                        for gi, g in enumerate(self.support):
+                        for gi, g in enumerate(support):
                             col = base + (p * vc + q) * ns + gi
                             for rr, w, cw in pr_list:
                                 for ss, u, cu in qs_list:
@@ -393,12 +400,15 @@ class LambdaLinearSystem:
                                         row.pop(col, None)
         return row_dicts, rhs_vals
 
-    def solve(self):
+    def solve(self, radius: int = 4):
+        """A solution with entries supported on model.ball(radius), as a
+        dict variable name -> LambdaMatrix, or None when there is none."""
         from .intlinalg import sparse_solve
         model = self.model
-        ns = len(self.support)
-        offsets, ncols = self._var_offset()
-        row_dicts, rhs_vals = self._compile(offsets)
+        support = model.ball(radius)
+        ns = len(support)
+        offsets, ncols = self._var_offset(ns)
+        row_dicts, rhs_vals = self._compile(support, offsets)
         x = sparse_solve(row_dicts, ncols, rhs_vals)
         if x is None:
             return None
@@ -407,11 +417,29 @@ class LambdaLinearSystem:
             vr, vc = self.vars[name]
             base = offsets[name]
             out[name] = LambdaMatrix(model, vr, vc, [
-                int_vec_to_ring(model, self.support,
+                int_vec_to_ring(model, support,
                                 x[base + p * vc * ns:base + (p + 1) * vc * ns],
                                 vc)
                 for p in range(vr)])
         return out
+
+
+def bounded_search(model: GroupModel, radius: int, attempt, first=(2,)):
+    """Run attempt(r) over the search radii; (result, r) for the first r
+    whose result is not None, else (None, None).
+
+    This is the one place that knows the radius schedule.  Over a finite
+    model every ball is the whole group, so one exact attempt at radius
+    decides.  Over an infinite model the radii of first (ascending) below
+    radius come first, then radius itself.
+    """
+    radii = [radius] if model.is_finite() else \
+        [r for r in first if r < radius] + [radius]
+    for rad in radii:
+        result = attempt(rad)
+        if result is not None:
+            return result, rad
+    return None, None
 
 
 # ---------------------------------------------------------------------------
@@ -738,6 +766,35 @@ class NullHomotopyVerdict:
         return self.status == "homotopic"
 
 
+def kills_homology(f: LambdaChainMap, linearized: bool = False):
+    """Test whether f induces zero on the homology of an integral reduction.
+
+    Returns None when it does (every homology generator of the source maps
+    to a boundary), else the obstruction "nonzero on homology at degree d"
+    for the first degree d where one does not.  The reduction is
+    Z^omega (x) -, which any model has, or with linearized=True the regular
+    representation of a finite model.
+    """
+    if linearized:
+        src, tgt = f.source.linearized(), f.target.linearized()
+    else:
+        src, tgt = f.source.tensor_Zomega(), f.target.tensor_Zomega()
+    for d in f.source.degrees():
+        h = src.homology(d)
+        gens = h.free_generators + h.torsion_generators
+        if not gens:
+            continue
+        fm = system_block_matrix(f.component(d)) if linearized else \
+            f.component(d).to_int_signed()
+        boundary_solver = LinearSolver(
+            tgt.boundary_or_zero(d + f.shift + 1))
+        for gen in gens:
+            img = mat_vec(fm, gen)
+            if any(img) and boundary_solver.solve(img) is None:
+                return f"nonzero on homology at degree {d}"
+    return None
+
+
 def is_nullhomotopic(f: LambdaChainMap, radius: int = 4) -> NullHomotopyVerdict:
     """Decide (finite models) or search (bounded support) f ~ 0.
 
@@ -749,58 +806,42 @@ def is_nullhomotopic(f: LambdaChainMap, radius: int = 4) -> NullHomotopyVerdict:
         zero = f.scale(0)
         return NullHomotopyVerdict("homotopic", ChainHomotopy(f, zero, {}))
     # Sound refutation for every model: a nullhomotopic map kills homology
-    # of the Z^omega reduction, so any generator sent to a non-boundary is
-    # an obstruction.
-    src_int = f.source.tensor_Zomega()
-    tgt_int = f.target.tensor_Zomega()
-    for d in f.source.degrees():
-        h = src_int.homology(d)
-        fm = f.component(d).to_int_signed()
-        gens = h.free_generators + h.torsion_generators
-        if not gens:
-            continue
-        boundary_solver = LinearSolver(
-            tgt_int.boundary_or_zero(d + f.shift + 1))
-        for gen in gens:
-            img = [sum(a * b for a, b in zip(row, gen)) for row in fm.data]
-            if any(img) and boundary_solver.solve(img) is None:
-                return NullHomotopyVerdict(
-                    "no", obstruction=f"nonzero on homology at degree {d}")
+    # of the Z^omega reduction.
+    obstruction = kills_homology(f)
+    if obstruction is not None:
+        return NullHomotopyVerdict("no", obstruction=obstruction)
     model = f.source.model
-    radii = [radius] if model.is_finite() else \
-        sorted({r for r in (1, 2, radius) if r <= radius})
-    for rad in radii:
-        system = LambdaLinearSystem(model, rad)
-        degs = sorted(f.source.ranks)
-        n = f.shift
-        for d in degs:
-            rows = f.target.rank(d + n + 1)
-            cols = f.source.rank(d)
-            system.add_var(f"h{d}", rows, cols)
-        sign = (-1) ** (n % 2)
-        for d in degs:
-            terms = []
-            if f.target.rank(d + n + 1) and f.source.rank(d):
-                terms.append((1, f.target.boundary_or_zero(d + n + 1),
-                              f"h{d}", None))
-            if d - 1 in f.source.ranks and f.target.rank(d + n):
-                if f.source.rank(d):
-                    terms.append((sign, None, f"h{d - 1}",
-                                  f.source.boundary_or_zero(d)))
-            rhs = f.component(d)
-            if not terms:
-                if not rhs.is_zero():
-                    return NullHomotopyVerdict(
-                        "no" if model.is_finite() else "unknown",
-                        obstruction=f"no homotopy slots at degree {d}")
-                continue
-            system.add_constraint(terms, rhs)
-        sol = system.solve()
-        if sol is not None:
-            comps = {d: sol[f"h{d}"] for d in degs if f"h{d}" in sol}
-            zero = f.scale(0)
-            return NullHomotopyVerdict(
-                "homotopic", ChainHomotopy(f, zero, comps))
+    system = LambdaLinearSystem(model)
+    degs = sorted(f.source.ranks)
+    n = f.shift
+    for d in degs:
+        rows = f.target.rank(d + n + 1)
+        cols = f.source.rank(d)
+        system.add_var(f"h{d}", rows, cols)
+    sign = (-1) ** (n % 2)
+    for d in degs:
+        terms = []
+        if f.target.rank(d + n + 1) and f.source.rank(d):
+            terms.append((1, f.target.boundary_or_zero(d + n + 1),
+                          f"h{d}", None))
+        if d - 1 in f.source.ranks and f.target.rank(d + n):
+            if f.source.rank(d):
+                terms.append((sign, None, f"h{d - 1}",
+                              f.source.boundary_or_zero(d)))
+        rhs = f.component(d)
+        if not terms:
+            if not rhs.is_zero():
+                return NullHomotopyVerdict(
+                    "no" if model.is_finite() else "unknown",
+                    obstruction=f"no homotopy slots at degree {d}")
+            continue
+        system.add_constraint(terms, rhs)
+    sol, _ = bounded_search(model, radius, system.solve, first=(1, 2))
+    if sol is not None:
+        comps = {d: sol[f"h{d}"] for d in degs if f"h{d}" in sol}
+        zero = f.scale(0)
+        return NullHomotopyVerdict(
+            "homotopic", ChainHomotopy(f, zero, comps))
     if model.is_finite():
         return NullHomotopyVerdict("no", obstruction="exact system unsolvable")
     return NullHomotopyVerdict("unknown",
@@ -899,9 +940,7 @@ def find_contraction(cone: LambdaComplex, radius: int = 4):
             if x is None:
                 return None
             cols.append(x)
-        hd = LambdaMatrix(model, cone.rank(d + 1), rank_d,
-                          [[cols[j][i] for j in range(rank_d)]
-                           for i in range(cone.rank(d + 1))])
+        hd = LambdaMatrix.from_columns(model, cone.rank(d + 1), cols)
         h[d] = hd
         prev_h, prev_d = hd, d
     return h

@@ -22,6 +22,11 @@ from .pairs import PairError, verify_ladder, verify_pd
 EXIT_PASS, EXIT_FAIL, EXIT_UNKNOWN, EXIT_INPUT = 0, 1, 2, 3
 
 
+def _exit_code(status):
+    """The exit code of a verdict that did not pass: fail or unknown."""
+    return EXIT_FAIL if status == "fail" else EXIT_UNKNOWN
+
+
 def _positive_radius(text):
     try:
         value = int(text)
@@ -111,9 +116,9 @@ def cmd_verify(args):
         print(rpt.render_verdict_text(name, verdict, ladder))
     if verdict.passed():
         if ladder is not None and ladder.status != "pass":
-            return EXIT_FAIL if ladder.status == "fail" else EXIT_UNKNOWN
+            return _exit_code(ladder.status)
         return EXIT_PASS
-    return EXIT_FAIL if verdict.status == "fail" else EXIT_UNKNOWN
+    return _exit_code(verdict.status)
 
 
 def cmd_nu(args):
@@ -125,7 +130,7 @@ def cmd_nu(args):
     if not verdict.passed():
         print(f"{name}: not a verified pair ({verdict.status}: "
               f"{verdict.reason})", file=sys.stderr)
-        return EXIT_FAIL if verdict.status == "fail" else EXIT_UNKNOWN
+        return _exit_code(verdict.status)
     nu = nu_of_pair(pair, verdict.fundamental_class, radius)
     nu = nu_verdict(nu, radius)
     timings = {"total": round(time.perf_counter() - t0, 3)}
@@ -150,7 +155,7 @@ def cmd_sum(args):
     for nm, v in ((args.left, lv), (args.right, rv)):
         if not v.passed():
             print(f"operand {nm}: {v.status} ({v.reason})", file=sys.stderr)
-            return EXIT_FAIL if v.status == "fail" else EXIT_UNKNOWN
+            return _exit_code(v.status)
     try:
         if args.interior:
             recipe = SumRecipe("interior", left, right,
@@ -170,7 +175,7 @@ def cmd_sum(args):
         print(rpt.render_verdict_text(outcome.pair.name, verdict))
     if verdict.passed():
         return EXIT_PASS
-    return EXIT_FAIL if verdict.status == "fail" else EXIT_UNKNOWN
+    return _exit_code(verdict.status)
 
 
 def cmd_realize(args):
@@ -183,7 +188,7 @@ def cmd_realize(args):
     if not verdict.passed():
         print(f"{name}: not a verified pair ({verdict.status})",
               file=sys.stderr)
-        return EXIT_FAIL if verdict.status == "fail" else EXIT_UNKNOWN
+        return _exit_code(verdict.status)
     try:
         inp = export_realization_input(pair, verdict, radius)
         outcome = realize_free_case(inp, radius)

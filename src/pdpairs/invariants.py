@@ -173,9 +173,7 @@ def compute_nu(rel_complex: LambdaComplex, r: int, mu,
             cols.append([])
             continue
         cols.append(express_in_ideal(model, w, radius))
-    matrix = LambdaMatrix(model, ideal.ngens, f_mod.ngens,
-                          [[cols[j][i] for j in range(f_mod.ngens)]
-                           for i in range(ideal.ngens)])
+    matrix = LambdaMatrix.from_columns(model, ideal.ngens, cols)
     # well-definedness, exactly in Lambda: relations of F^r must map to zero
     rel = f_mod.relations
     for j in range(rel.cols):
@@ -220,10 +218,9 @@ def check_realisation_necessity(pair: ChainPairData, verdict: PDVerdict,
     anything else is reported as a contradiction (input or engine bug)."""
     if not verdict.passed():
         raise InvariantError("requires a verified pair")
-    nu = nu_of_pair(pair, verdict.fundamental_class, radius)
-    dv = derived_equivalence(nu.morphism, radius)
-    nu.verdict = dv
-    return RealisationReport(nu, dv, dv.status == "not")
+    nu = nu_verdict(nu_of_pair(pair, verdict.fundamental_class, radius),
+                    radius)
+    return RealisationReport(nu, nu.verdict, nu.verdict.status == "not")
 
 
 def nu_difference_is_null(nu1: NuMorphism, nu2: NuMorphism,

@@ -26,18 +26,15 @@ from .chains import (
     LambdaLinearSystem,
     LambdaMatrix,
     apply_matrix,
+    bounded_search,
     find_contraction,
     is_nullhomotopic,
+    kills_homology,
     mapping_cone,
     verify_contraction,
 )
 from .groups import GroupModel, RingElem
-from .intlinalg import (
-    IntMatrix,
-    LinearSolver,
-    class_coordinates,
-    mat_vec,
-)
+from .intlinalg import IntMatrix, class_coordinates, mat_vec
 
 
 class PairError(ValueError):
@@ -313,7 +310,8 @@ def solve_diagonal_cell(complex_: LambdaComplex, diagonal: dict, cell,
 
     Fixes the counit-forced end terms (v0, 1, cell) and (cell, k, v1) for
     candidate vertices and translations in deterministic order, then solves
-    for middle terms of inner degrees.  For each radius the middle terms
+    for middle terms of inner degrees, at radii 1 to radius in turn (one
+    exact attempt over a finite model).  At each radius the middle terms
     are the unknowns of one Lambda-matrix: a column per basis triple
     ((p, i), k, (d - p, j)) with k in the ball, holding the boundary of that
     triple, and a row per triple those boundaries reach.  One column solver
@@ -333,7 +331,8 @@ def solve_diagonal_cell(complex_: LambdaComplex, diagonal: dict, cell,
              if complex_.augmentation[i].aug() == 1]
     lefts = verts if end_vertices is None else [end_vertices[0]]
     rights = verts if end_vertices is None else [end_vertices[1]]
-    for rad in range(1, radius + 1):
+
+    def attempt(rad):
         middles, row_index, solver = _middle_solver(complex_, d, rad)
         for v_left in lefts:
             for v_right in rights:
@@ -359,7 +358,9 @@ def solve_diagonal_cell(complex_: LambdaComplex, diagonal: dict, cell,
                     if (tentative.boundary(complex_, complex_)
                             - target).is_zero():
                         return tentative
-    return None
+        return None
+
+    return bounded_search(model, radius, attempt, first=range(1, radius))[0]
 
 
 def _middle_solver(complex_, d: int, radius: int):
@@ -877,18 +878,18 @@ def verify_pd(pair: ChainPairData, radius: int = 4) -> PDVerdict:
                 "fail", reason=f"cap fails over Z: cone H_{d} = "
                 f"{hom.describe()}",
                 fundamental_class=list(x), class_degree=n)
-    for rad in sorted({r for r in (2, radius) if r <= radius}):
-        contraction = find_contraction(cone, rad)
-        if contraction is not None:
-            if not verify_contraction(cone, contraction):
-                raise PairError("contraction verification failed")
-            verdict.witness_kind = "contraction"
-            verdict.witness = contraction
-            for d in cone.degrees():
-                verdict.certificates.append(
-                    {"degree": d, "cone_homology": "0",
-                     "method": f"contraction(radius<={rad})"})
-            return verdict
+    contraction, rad = bounded_search(
+        pair.model, radius, lambda r: find_contraction(cone, r))
+    if contraction is not None:
+        if not verify_contraction(cone, contraction):
+            raise PairError("contraction verification failed")
+        verdict.witness_kind = "contraction"
+        verdict.witness = contraction
+        for d in cone.degrees():
+            verdict.certificates.append(
+                {"degree": d, "cone_homology": "0",
+                 "method": f"contraction(radius<={rad})"})
+        return verdict
     return PDVerdict("unknown",
                      reason=f"no contraction found within radius {radius}",
                      fundamental_class=list(x), class_degree=n)
@@ -948,32 +949,10 @@ def _maps_homotopy_equal(a: LambdaChainMap, b: LambdaChainMap, radius: int):
     if a.source.model.is_finite():
         # homology-level comparison, exact
         for eps in (1, -1):
-            if _equal_on_linearized_homology(a, b.scale(eps)):
+            if kills_homology(a - b.scale(eps), linearized=True) is None:
                 return eps, "linearized-homology"
         return None, "fail"
     return None, "unknown"
-
-
-def _equal_on_linearized_homology(a: LambdaChainMap, b: LambdaChainMap):
-    from .chains import system_block_matrix
-    src = a.source.linearized()
-    tgt = a.target.linearized()
-    for d in a.source.degrees():
-        h = src.homology(d)
-        gens = h.free_generators + h.torsion_generators
-        if not gens:
-            continue
-        am = system_block_matrix(a.component(d))
-        bm = system_block_matrix(b.component(d))
-        tgt_b = tgt.boundary_or_zero(d + a.shift + 1)
-        solver = LinearSolver(tgt_b)
-        for g in gens:
-            av = mat_vec(am, g) if am.rows else []
-            bv = mat_vec(bm, g) if bm.rows else []
-            diff = [p - q for p, q in zip(av, bv)]
-            if any(diff) and solver.solve(diff) is None:
-                return False
-    return True
 
 
 def verify_ladder(pair: ChainPairData, x=None, radius: int = 4) -> LadderReport:
@@ -1051,7 +1030,7 @@ def cap_top_identity(pair: ChainPairData, x, radius: int = 4):
     m = capD.component(-n)  # (P_0 rank x D_n rank)
     model = pair.model
     vb = base_vertex(pair)
-    system = LambdaLinearSystem(model, radius)
+    system = LambdaLinearSystem(model)
     rank0 = pair.P.rank(0)
     rank1 = pair.P.rank(1)
     system.add_var("w", rank1, 1)
@@ -1064,7 +1043,7 @@ def cap_top_identity(pair: ChainPairData, x, radius: int = 4):
             rhs.data[r][0] = m.data[r][i] - base
         q = LambdaMatrix(model, 1, 1, [[barx]])
         system.add_constraint([(1, d1, "w", q)], rhs)
-    sol = system.solve()
+    sol = system.solve(radius)
     if sol is None:
         return None
     return [sol["w"].data[j][0] for j in range(rank1)]

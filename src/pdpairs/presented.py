@@ -22,7 +22,9 @@ from .chains import (
     LambdaComplex,
     LambdaLinearSystem,
     LambdaMatrix,
+    bounded_search,
     compose,
+    embed_ring,
 )
 from .groups import GroupModel, RingElem
 from .intlinalg import IntMatrix, LinearSolver, mat_vec, snf
@@ -45,20 +47,22 @@ class PresentedModule:
             raise ModuleError("relations have wrong height")
         cols = [relations.column(j) for j in range(relations.cols)
                 if any(not e.is_zero() for e in relations.column(j))]
-        self.relations = LambdaMatrix(
-            model, ngens, len(cols),
-            [[cols[c][i] for c in range(len(cols))] for i in range(ngens)])
+        self.relations = LambdaMatrix.from_columns(model, ngens, cols)
         self.label = label
 
-    def relation_solver(self, radius=4):
-        return LambdaColumnSolver(self.relations, radius)
-
-    def element_is_zero(self, vec, radius=4) -> bool:
-        if all(e.is_zero() for e in vec):
+    def spans(self, m: LambdaMatrix, radius: int = 4) -> bool:
+        """Whether every column of m is zero in the module, i.e. lies in the
+        column span of the relations: one system R . V = m, exact over a
+        finite model and with V supported on model.ball(radius) otherwise.
+        """
+        if m.is_zero():
             return True
         if self.relations.cols == 0:
             return False
-        return self.relation_solver(radius).solve(list(vec)) is not None
+        system = LambdaLinearSystem(self.model)
+        system.add_var("v", self.relations.cols, m.cols)
+        system.add_constraint([(1, self.relations, "v", None)], m)
+        return system.solve(radius) is not None
 
     def __repr__(self):
         tag = self.label or "module"
@@ -82,15 +86,11 @@ class ModuleMorphism:
             raise ModuleError("morphism does not descend through presentations")
 
     def well_defined(self, radius: int = 4) -> bool:
-        if self.source.relations.cols == 0:
-            return True
-        images = compose(self.matrix, self.source.relations)
-        return all(self.target.element_is_zero(images.column(j), radius)
-                   for j in range(images.cols))
+        return self.target.spans(
+            compose(self.matrix, self.source.relations), radius)
 
     def is_zero(self, radius: int = 4) -> bool:
-        return all(self.target.element_is_zero(self.matrix.column(j), radius)
-                   for j in range(self.matrix.cols))
+        return self.target.spans(self.matrix, radius)
 
     def equals(self, other: "ModuleMorphism", radius: int = 4) -> bool:
         return (self - other).is_zero(radius)
@@ -148,60 +148,38 @@ def F_functor(c: LambdaComplex, r: int) -> PresentedModule:
 def augmentation_ideal(model: GroupModel) -> PresentedModule:
     """I(G) presented on the standard generators g - 1.
 
-    Free models (trivial, Z, free groups) give free presentations; finite
-    models compute the relation lattice exactly through the regular
-    representation; free products recurse along the direct sum
-    decomposition I(A * B) = L_A I(A) (+) L_B I(B).
+    Free models (trivial, Z, free groups) give free presentations; free
+    abelian models take the Koszul relations; finite models compute the
+    relation lattice exactly through the regular representation; free
+    products recurse along the direct sum decomposition
+    I(A * B) = L_A I(A) (+) L_B I(B).
     """
-    from .groups import (FiniteTable, FreeAbelian, FreeGroup, FreeProduct,
-                         InfiniteCyclic, TrivialGroup)
-    if isinstance(model, TrivialGroup):
-        return PresentedModule(model, 0, label="I")
-    if isinstance(model, (InfiniteCyclic, FreeGroup)):
-        ngens = 1 if isinstance(model, InfiniteCyclic) else model.rank
-        return PresentedModule(model, ngens, label="I")
+    from .groups import FiniteTable, FreeAbelian, FreeProduct
+    gens = augmentation_ideal_generators(model)
+    r = len(gens)
+    cols = []
     if isinstance(model, FreeAbelian):
-        r = model.rank
-        gens = [model.unit(k) - 1 for k in model.letters()[::2]]
-        rels = []
         # Koszul relations (g_j - 1) e_i - (g_i - 1) e_j
         for i in range(r):
             for j in range(i + 1, r):
                 col = [model.zero()] * r
                 col[i] = gens[j]
                 col[j] = -gens[i]
-                rels.append(col)
-        relmat = LambdaMatrix(model, r, len(rels),
-                              [[rels[c][row] for c in range(len(rels))]
-                               for row in range(r)])
-        return PresentedModule(model, r, relmat, label="I")
-    if isinstance(model, FiniteTable):
-        gens = [model.unit(g) - 1 for g in model.generators]
-        span = LambdaMatrix(model, 1, len(gens), [list(gens)])
-        cols = LambdaColumnSolver(span).kernel()
-        relmat = LambdaMatrix(model, len(gens), len(cols),
-                              [[cols[c][row] for c in range(len(cols))]
-                               for row in range(len(gens))])
-        return PresentedModule(model, len(gens), relmat, label="I")
-    if isinstance(model, FreeProduct):
-        parts = [augmentation_ideal(child) for child in model.children]
-        total = sum(p.ngens for p in parts)
-        cols = []
+                cols.append(col)
+    elif isinstance(model, FiniteTable):
+        cols = LambdaColumnSolver(LambdaMatrix(model, 1, r, [gens])).kernel()
+    elif isinstance(model, FreeProduct):
         row_offset = 0
-        for side, part in enumerate(parts):
-            for j in range(part.relations.cols):
-                col = [model.zero()] * total
-                for i in range(part.ngens):
-                    from .chains import embed_ring
-                    col[row_offset + i] = embed_ring(
-                        part.relations.data[i][j], model)
+        for child in model.children:
+            part = augmentation_ideal(child)
+            for rel in part.relations.columns():
+                col = [model.zero()] * r
+                for i, e in enumerate(rel):
+                    col[row_offset + i] = embed_ring(e, model)
                 cols.append(col)
             row_offset += part.ngens
-        relmat = LambdaMatrix(model, total, len(cols),
-                              [[cols[c][row] for c in range(len(cols))]
-                               for row in range(total)])
-        return PresentedModule(model, total, relmat, label="I")
-    raise ModuleError(f"no augmentation ideal presentation for {model!r}")
+    return PresentedModule(model, r, LambdaMatrix.from_columns(model, r, cols),
+                           label="I")
 
 
 def augmentation_ideal_generators(model: GroupModel):
@@ -217,7 +195,6 @@ def augmentation_ideal_generators(model: GroupModel):
     if isinstance(model, FiniteTable):
         return [model.unit(g) - 1 for g in model.generators]
     if isinstance(model, FreeProduct):
-        from .chains import embed_ring
         out = []
         for child in model.children:
             out.extend(embed_ring(r, model)
@@ -321,50 +298,47 @@ def derived_equivalence(f: ModuleMorphism, radius: int = 4) -> DerivedVerdict:
         return DerivedVerdict(
             "not", reason="integral torsion reduction is not an isomorphism")
     A, B = f.source, f.target
-    radii = [radius] if model.is_finite() else \
-        sorted({r for r in (2, radius) if r <= radius})
-    for rad in radii:
-        system = LambdaLinearSystem(model, rad)
-        system.add_var("g", A.ngens, B.ngens)
-        system.add_var("s1", A.ngens, A.ngens)
-        system.add_var("s2", B.ngens, B.ngens)
-        if B.relations.cols and A.relations.cols:
-            system.add_var("w", A.relations.cols, B.relations.cols)
+    system = LambdaLinearSystem(model)
+    system.add_var("g", A.ngens, B.ngens)
+    system.add_var("s1", A.ngens, A.ngens)
+    system.add_var("s2", B.ngens, B.ngens)
+    if B.relations.cols and A.relations.cols:
+        system.add_var("w", A.relations.cols, B.relations.cols)
+    if A.relations.cols:
+        system.add_var("v1", A.relations.cols, A.ngens)
+    if B.relations.cols:
+        system.add_var("v2", B.relations.cols, B.ngens)
+    ident_a = LambdaMatrix.identity(model, A.ngens)
+    ident_b = LambdaMatrix.identity(model, B.ngens)
+    # g is well-defined: g . R_B = R_A . w (0 when A has no relations)
+    if B.relations.cols:
+        terms = [(1, None, "g", B.relations)]
         if A.relations.cols:
-            system.add_var("v1", A.relations.cols, A.ngens)
-        if B.relations.cols:
-            system.add_var("v2", B.relations.cols, B.ngens)
-        ident_a = LambdaMatrix.identity(model, A.ngens)
-        ident_b = LambdaMatrix.identity(model, B.ngens)
-        # g is well-defined: g . R_B = R_A . w (0 when A has no relations)
-        if B.relations.cols:
-            terms = [(1, None, "g", B.relations)]
-            if A.relations.cols:
-                terms.append((-1, A.relations, "w", None))
-            system.add_constraint(
-                terms, LambdaMatrix.zero(model, A.ngens, B.relations.cols))
-        # g f - 1 = s1 + R_A v1,  s1 . R_A = 0
-        terms = [(1, None, "g", f.matrix), (-1, None, "s1", None)]
-        if A.relations.cols:
-            terms.append((-1, A.relations, "v1", None))
-        system.add_constraint(terms, ident_a)
-        if A.relations.cols:
-            system.add_constraint([(1, None, "s1", A.relations)],
-                                  LambdaMatrix.zero(model, A.ngens,
-                                                    A.relations.cols))
-        # f g - 1 = s2 + R_B v2,  s2 . R_B = 0
-        terms = [(1, f.matrix, "g", None), (-1, None, "s2", None)]
-        if B.relations.cols:
-            terms.append((-1, B.relations, "v2", None))
-        system.add_constraint(terms, ident_b)
-        if B.relations.cols:
-            system.add_constraint([(1, None, "s2", B.relations)],
-                                  LambdaMatrix.zero(model, B.ngens,
-                                                    B.relations.cols))
-        sol = system.solve()
-        if sol is not None:
-            g = ModuleMorphism(B, A, sol["g"], check=False)
-            return DerivedVerdict("equivalence", inverse=g)
+            terms.append((-1, A.relations, "w", None))
+        system.add_constraint(
+            terms, LambdaMatrix.zero(model, A.ngens, B.relations.cols))
+    # g f - 1 = s1 + R_A v1,  s1 . R_A = 0
+    terms = [(1, None, "g", f.matrix), (-1, None, "s1", None)]
+    if A.relations.cols:
+        terms.append((-1, A.relations, "v1", None))
+    system.add_constraint(terms, ident_a)
+    if A.relations.cols:
+        system.add_constraint([(1, None, "s1", A.relations)],
+                              LambdaMatrix.zero(model, A.ngens,
+                                                A.relations.cols))
+    # f g - 1 = s2 + R_B v2,  s2 . R_B = 0
+    terms = [(1, f.matrix, "g", None), (-1, None, "s2", None)]
+    if B.relations.cols:
+        terms.append((-1, B.relations, "v2", None))
+    system.add_constraint(terms, ident_b)
+    if B.relations.cols:
+        system.add_constraint([(1, None, "s2", B.relations)],
+                              LambdaMatrix.zero(model, B.ngens,
+                                                B.relations.cols))
+    sol, _ = bounded_search(model, radius, system.solve)
+    if sol is not None:
+        g = ModuleMorphism(B, A, sol["g"], check=False)
+        return DerivedVerdict("equivalence", inverse=g)
     if model.is_finite():
         return DerivedVerdict("not", reason="exact inverse system unsolvable")
     return DerivedVerdict("unknown", reason=f"radius {radius} exhausted")
@@ -375,22 +349,19 @@ def morphism_null_in_derived(f: ModuleMorphism, radius: int = 4):
     cover of the target.  Returns "yes" / "no" / "unknown"."""
     model = f.source.model
     A, B = f.source, f.target
-    radii = [radius] if model.is_finite() else \
-        sorted({r for r in (2, radius) if r <= radius})
-    for rad in radii:
-        system = LambdaLinearSystem(model, rad)
-        system.add_var("s", B.ngens, A.ngens)
-        terms = [(1, None, "s", None)]
-        if B.relations.cols:
-            system.add_var("v", B.relations.cols, A.ngens)
-            terms.append((1, B.relations, "v", None))
-        system.add_constraint(terms, f.matrix)
-        if A.relations.cols:
-            system.add_constraint([(1, None, "s", A.relations)],
-                                  LambdaMatrix.zero(model, B.ngens,
-                                                    A.relations.cols))
-        if system.solve() is not None:
-            return "yes"
+    system = LambdaLinearSystem(model)
+    system.add_var("s", B.ngens, A.ngens)
+    terms = [(1, None, "s", None)]
+    if B.relations.cols:
+        system.add_var("v", B.relations.cols, A.ngens)
+        terms.append((1, B.relations, "v", None))
+    system.add_constraint(terms, f.matrix)
+    if A.relations.cols:
+        system.add_constraint([(1, None, "s", A.relations)],
+                              LambdaMatrix.zero(model, B.ngens,
+                                                A.relations.cols))
+    if bounded_search(model, radius, system.solve)[0] is not None:
+        return "yes"
     return "no" if model.is_finite() else "unknown"
 
 
@@ -468,7 +439,7 @@ def _try_middle(f: ModuleMorphism, q_rank: int, rows,
     mid = ModuleMorphism(f.source, b_ext, middle, check=False)
     if not mid.well_defined(radius):
         return None
-    system = LambdaLinearSystem(model, radius)
+    system = LambdaLinearSystem(model)
     system.add_var("inv", f.source.ngens, b_ext.ngens)
     terms = [(1, None, "inv", middle)]
     if f.source.relations.cols:
@@ -488,7 +459,7 @@ def _try_middle(f: ModuleMorphism, q_rank: int, rows,
         system.add_constraint(
             terms,
             LambdaMatrix.zero(model, f.source.ngens, b_ext.relations.cols))
-    sol = system.solve()
+    sol = system.solve(radius)
     if sol is None:
         return None
     fact = Factorization(f, q_rank, middle, sol["inv"])

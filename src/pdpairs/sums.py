@@ -482,9 +482,7 @@ def decomposition_forward_check(outcome: SumOutcome, verdict: PDVerdict,
 @dataclass
 class RealizationInput:
     skeleton: ChainPairData          # degrees <= 2, same boundary data
-    nu_images: list                  # bar((d mu)_i) per relative 2-cell
     factorization: Factorization | None
-    pi1_injective: bool
     boundary_targets: dict           # component name -> delta class vector
     name: str = ""
 
@@ -517,8 +515,7 @@ def export_realization_input(pair: ChainPairData, verdict: PDVerdict,
     fact = search_factorization(nu.morphism, radius)
     targets = {comp.name: verdict.boundary_classes.get(comp.name, [])
                for comp in pair.boundary_components}
-    return RealizationInput(skeleton, nu.raw_images, fact,
-                            pi1_injective=False, boundary_targets=targets,
+    return RealizationInput(skeleton, fact, boundary_targets=targets,
                             name=pair.name)
 
 
@@ -606,9 +603,7 @@ def _assemble_realized(skeleton: ChainPairData, d3_rel: LambdaMatrix,
     names = {d: tuple(ns) for d, ns in P.basis_names.items()}
     names[3] = tuple(f"E{j}" for j in range(n_new))
     boundary = dict(P.boundary)
-    boundary[3] = LambdaMatrix(model, P.rank(2), n_new,
-                               [[lift_cols[j][i] for j in range(n_new)]
-                                for i in range(P.rank(2))])
+    boundary[3] = LambdaMatrix.from_columns(model, P.rank(2), lift_cols)
     full = LambdaComplex(model, ranks, boundary, augmentation=P.augmentation,
                          basis_names=names)
     diag = dict(skeleton.diagonal)

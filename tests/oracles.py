@@ -15,7 +15,12 @@ column_solve_reference solves with the package's system_block_matrix and
 LinearSolver; solve_diagonal_cell_reference is the diagonal search as it
 was when each end choice built and eliminated its own integer system;
 augmentation_ideal_finite_reference is the relation lattice of I(G) for a
-finite table as it was read off system_block_matrix.  The dense matrix
+finite table as it was read off system_block_matrix, and
+augmentation_ideal_reference is the whole presentation of I(G) as it was
+built by its own type dispatch; equal_on_linearized_homology_reference is
+the ladder's homology-level comparison as it was written apart from the
+Z^omega screen of is_nullhomotopic; spans_reference asks one column
+solver per column whether a module element is zero.  The dense matrix
 helpers (mat_mul, transpose, is_zero,
 diagonal_matrix, solve_integral) serve the tests only.
 """
@@ -390,6 +395,103 @@ def augmentation_ideal_finite_reference(model):
     kernel = LinearSolver(system_block_matrix(span)).kernel_basis()
     return [int_vec_to_ring(model, model.ball(0), v, len(gens))
             for v in kernel]
+
+
+def augmentation_ideal_reference(model):
+    """I(G) as augmentation_ideal built it with its own type dispatch and
+    hand-written column transposes, kept verbatim as a reference."""
+    from pdpairs.chains import LambdaColumnSolver, LambdaMatrix
+    from pdpairs.groups import (FiniteTable, FreeAbelian, FreeGroup, FreeProduct,
+                                InfiniteCyclic, TrivialGroup)
+    from pdpairs.presented import ModuleError, PresentedModule
+    if isinstance(model, TrivialGroup):
+        return PresentedModule(model, 0, label="I")
+    if isinstance(model, (InfiniteCyclic, FreeGroup)):
+        ngens = 1 if isinstance(model, InfiniteCyclic) else model.rank
+        return PresentedModule(model, ngens, label="I")
+    if isinstance(model, FreeAbelian):
+        r = model.rank
+        gens = [model.unit(k) - 1 for k in model.letters()[::2]]
+        rels = []
+        # Koszul relations (g_j - 1) e_i - (g_i - 1) e_j
+        for i in range(r):
+            for j in range(i + 1, r):
+                col = [model.zero()] * r
+                col[i] = gens[j]
+                col[j] = -gens[i]
+                rels.append(col)
+        relmat = LambdaMatrix(model, r, len(rels),
+                              [[rels[c][row] for c in range(len(rels))]
+                               for row in range(r)])
+        return PresentedModule(model, r, relmat, label="I")
+    if isinstance(model, FiniteTable):
+        gens = [model.unit(g) - 1 for g in model.generators]
+        span = LambdaMatrix(model, 1, len(gens), [list(gens)])
+        cols = LambdaColumnSolver(span).kernel()
+        relmat = LambdaMatrix(model, len(gens), len(cols),
+                              [[cols[c][row] for c in range(len(cols))]
+                               for row in range(len(gens))])
+        return PresentedModule(model, len(gens), relmat, label="I")
+    if isinstance(model, FreeProduct):
+        parts = [augmentation_ideal_reference(child)
+                 for child in model.children]
+        total = sum(p.ngens for p in parts)
+        cols = []
+        row_offset = 0
+        for side, part in enumerate(parts):
+            for j in range(part.relations.cols):
+                col = [model.zero()] * total
+                for i in range(part.ngens):
+                    from pdpairs.chains import embed_ring
+                    col[row_offset + i] = embed_ring(
+                        part.relations.data[i][j], model)
+                cols.append(col)
+            row_offset += part.ngens
+        relmat = LambdaMatrix(model, total, len(cols),
+                              [[cols[c][row] for c in range(len(cols))]
+                               for row in range(total)])
+        return PresentedModule(model, total, relmat, label="I")
+    raise ModuleError(f"no augmentation ideal presentation for {model!r}")
+
+
+def equal_on_linearized_homology_reference(a, b):
+    """Whether chain maps a and b over a finite model agree on the homology
+    of the linearized complexes, compared degree by degree on generators;
+    the ladder's homology-level fallback as it was, kept verbatim."""
+    from pdpairs.chains import system_block_matrix
+    from pdpairs.intlinalg import LinearSolver, mat_vec
+    src = a.source.linearized()
+    tgt = a.target.linearized()
+    for d in a.source.degrees():
+        h = src.homology(d)
+        gens = h.free_generators + h.torsion_generators
+        if not gens:
+            continue
+        am = system_block_matrix(a.component(d))
+        bm = system_block_matrix(b.component(d))
+        tgt_b = tgt.boundary_or_zero(d + a.shift + 1)
+        solver = LinearSolver(tgt_b)
+        for g in gens:
+            av = mat_vec(am, g) if am.rows else []
+            bv = mat_vec(bm, g) if bm.rows else []
+            diff = [p - q for p, q in zip(av, bv)]
+            if any(diff) and solver.solve(diff) is None:
+                return False
+    return True
+
+
+def spans_reference(relations, m, radius=4):
+    """Whether every column of m lies in the column span of relations,
+    asked of one LambdaColumnSolver per column, as modules once did."""
+    from pdpairs.chains import LambdaColumnSolver
+    for col in m.columns():
+        if all(e.is_zero() for e in col):
+            continue
+        if relations.cols == 0:
+            return False
+        if LambdaColumnSolver(relations, radius).solve(col) is None:
+            return False
+    return True
 
 
 def transpose(a):

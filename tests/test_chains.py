@@ -14,6 +14,7 @@ from pdpairs.chains import (
     LambdaLinearSystem,
     LambdaMatrix,
     apply_matrix,
+    bounded_search,
     compose,
     eta_matrix,
     find_contraction,
@@ -403,13 +404,13 @@ def test_mapping_cone_of_non_iso_has_no_contraction():
 def test_lambda_linear_system_simple():
     z = InfiniteCyclic("t")
     t = z.unit(1)
-    sys = LambdaLinearSystem(z, radius=2)
+    sys = LambdaLinearSystem(z)
     sys.add_var("x", 1, 1)
     lhs = LambdaMatrix.from_rows(z, [[t - 1]])
     rhs = LambdaMatrix.from_rows(z, [[t * t - t]])
     # x . (t - 1) = t^2 - t has solution x = t
     sys.add_constraint([(1, lhs, "x", None)], rhs)
-    sol = sys.solve()
+    sol = sys.solve(2)
     assert sol is not None
     assert compose(lhs, sol["x"]) == rhs
 
@@ -425,3 +426,72 @@ def test_tensor_zomega_functorial_on_composition():
         b = f.component(d).to_int_signed()
         assert lhs == mat_mul(a, b)
 
+
+
+def test_is_nullhomotopic_no_homotopy_slots():
+    # one cell in degree 0: a map that vanishes on Z^omega homology but is
+    # nonzero has nowhere to put a homotopy
+    for model, status in ((FiniteTable.cyclic(2, "g"), "no"),
+                          (InfiniteCyclic("t"), "unknown")):
+        c = LambdaComplex(model, {0: 1}, {}, check=False)
+        x = LambdaMatrix.from_rows(model, [[model.one() - model.unit(1)]])
+        v = is_nullhomotopic(LambdaChainMap(c, c, 0, {0: x}))
+        assert (v.status, v.obstruction) == \
+            (status, "no homotopy slots at degree 0")
+
+
+def test_is_nullhomotopic_exact_system_unsolvable():
+    # over C2, (1 - g).id on Lambda --(1 + g)--> Lambda is zero on Z^omega
+    # homology, but (1 + g) h = 1 - g has no solution
+    g2 = FiniteTable.cyclic(2, "g")
+    g = g2.unit(1)
+    c = LambdaComplex(g2, {0: 1, 1: 1},
+                      {1: LambdaMatrix.from_rows(g2, [[g2.one() + g]])},
+                      check=False)
+    x = LambdaMatrix.from_rows(g2, [[g2.one() - g]])
+    v = is_nullhomotopic(LambdaChainMap(c, c, 0, {0: x, 1: x}))
+    assert (v.status, v.obstruction) == ("no", "exact system unsolvable")
+
+
+def test_bounded_search_schedule():
+    def run(model, radius, first, hit=None):
+        tried = []
+
+        def attempt(r):
+            tried.append(r)
+            return "found" if r == hit else None
+        kwargs = {} if first is None else {"first": first}
+        return bounded_search(model, radius, attempt, **kwargs), tried
+
+    z, g3 = InfiniteCyclic("t"), FiniteTable.cyclic(3, "g")
+    assert run(z, 4, None) == ((None, None), [2, 4])
+    assert run(z, 4, (1, 2)) == ((None, None), [1, 2, 4])
+    assert run(z, 2, (1, 2)) == ((None, None), [1, 2])
+    assert run(z, 1, None) == ((None, None), [1])
+    assert run(z, 3, range(1, 3)) == ((None, None), [1, 2, 3])
+    assert run(z, 4, (1, 2), hit=2) == (("found", 2), [1, 2])
+    # a finite model is decided by one exact attempt at the given radius
+    assert run(g3, 4, (1, 2), hit=4) == (("found", 4), [4])
+    assert run(g3, 2, range(1, 2)) == ((None, None), [2])
+
+
+def test_lambda_linear_system_solves_at_several_radii():
+    z = InfiniteCyclic("t")
+    t = z.unit(1)
+    sys = LambdaLinearSystem(z)
+    sys.add_var("x", 1, 1)
+    lhs = LambdaMatrix.from_rows(z, [[t - 1]])
+    rhs = LambdaMatrix.from_rows(z, [[t * t * t - 1]])
+    # x = 1 + t + t^2 needs radius 2
+    sys.add_constraint([(1, lhs, "x", None)], rhs)
+    assert sys.solve(1) is None
+    assert compose(lhs, sys.solve(2)["x"]) == rhs
+
+
+def test_from_columns_transposes():
+    z = InfiniteCyclic("t")
+    t = z.unit(1)
+    m = LambdaMatrix.from_columns(z, 2, [[t, z.one()], [z.zero(), t - 1]])
+    assert m == LambdaMatrix.from_rows(z, [[t, z.zero()], [z.one(), t - 1]])
+    empty = LambdaMatrix.from_columns(z, 3, [])
+    assert (empty.rows, empty.cols, empty.data) == (3, 0, [[], [], []])

@@ -14,11 +14,20 @@ from pdpairs.catalog import (
     build_solid_torus,
     build_solid_torus_collared,
 )
-from pdpairs.chains import LambdaComplex, LambdaMatrix, apply_matrix, is_nullhomotopic
-from pdpairs.groups import InfiniteCyclic, TrivialGroup
+from pdpairs.chains import (
+    LambdaComplex,
+    LambdaMatrix,
+    apply_matrix,
+    is_nullhomotopic,
+    kills_homology,
+)
+from pdpairs.groups import FiniteTable, InfiniteCyclic, TrivialGroup
 from pdpairs.intlinalg import mat_vec
 
-from oracles import solve_diagonal_cell_reference
+from oracles import (
+    equal_on_linearized_homology_reference,
+    solve_diagonal_cell_reference,
+)
 from pdpairs.pairs import (
     ChainPairData,
     LambdaTensor,
@@ -577,3 +586,112 @@ def test_boundary_class_lives_in_expected_degree():
     delta = pair.boundary_class(x)
     assert len(delta) == pair.Q.rank(2)
     assert any(delta)
+
+
+def test_maps_homotopy_equal_linearized_homology_fallback():
+    from pdpairs.chains import LambdaChainMap
+    from pdpairs.groups import FiniteTable
+    from pdpairs.pairs import _maps_homotopy_equal
+    g2 = FiniteTable.cyclic(2, "g")
+    # Lambda --2--> Lambda: the shift -1 map with f_1 = 1 is zero on
+    # homology (H_1 = 0) but is not 2 h_1 - 2 h_0, so no homotopy exists
+    s = LambdaComplex(g2, {0: 1, 1: 1},
+                      {1: LambdaMatrix.from_int_rows(g2, [[2]])}, check=False)
+    a = LambdaChainMap(s, s, -1, {1: LambdaMatrix.identity(g2, 1)})
+    assert _maps_homotopy_equal(a, a.scale(0), 4) == \
+        (1, "linearized-homology")
+    point = LambdaComplex(g2, {0: 1}, {}, check=False)
+    ident = LambdaChainMap.identity(point)
+    assert _maps_homotopy_equal(ident, ident.scale(0), 4) == (None, "fail")
+
+
+def _class_sums(model):
+    """The conjugacy class sums, which span the centre of Z[G]."""
+    elems, seen, sums = model.ball(0), set(), []
+    for g in elems:
+        if g in seen:
+            continue
+        cls = {model.mul(model.mul(x, g), model.inv(x)) for x in elems}
+        seen |= cls
+        out = model.zero()
+        for c in cls:
+            out = out + model.unit(c)
+        sums.append(out)
+    return sums
+
+
+def _test_complex(model):
+    """Lambda --(1+s)--> Lambda --(1-s)--> Lambda for an element s of order
+    two, or the lens complex of a cyclic group of odd order."""
+    one = model.one()
+    if len(model.ball(0)) % 2 == 0:
+        s = next(g for g in model.ball(0)
+                 if g != model.identity() and model.mul(g, g) ==
+                 model.identity())
+        bd = {1: one - model.unit(s), 2: one + model.unit(s)}
+    else:
+        g = model.unit(model.generators[0])
+        norm = model.zero()
+        for k in model.ball(0):
+            norm = norm + model.unit(k)
+        bd = {1: g - 1, 2: norm, 3: g - 1}
+    return LambdaComplex(model, {d: 1 for d in range(len(bd) + 1)},
+                         {d: LambdaMatrix.from_rows(model, [[e]])
+                          for d, e in bd.items()}, check=False)
+
+
+def _seeded_chain_maps(model, rng):
+    """z . id + (d h + h d) for a random central z and random h."""
+    from pdpairs.chains import LambdaChainMap, compose
+    c = _test_complex(model)
+    centre = _class_sums(model)
+    zs = [model.zero(), model.one(), centre[-1], model.one() + centre[-1]]
+    z = zs[rng.randrange(len(zs))] * rng.choice((1, -1))
+    h = {d: LambdaMatrix.from_rows(model, [[random_ring(model, rng, 1)]])
+         for d in c.degrees() if d + 1 in c.ranks}
+    comps = {}
+    for d in c.degrees():
+        m = LambdaMatrix.from_rows(model, [[z]])
+        if d in h:
+            m = m + compose(c.boundary_or_zero(d + 1), h[d])
+        if d - 1 in h:
+            m = m + compose(h[d - 1], c.boundary_or_zero(d))
+        comps[d] = m
+    return LambdaChainMap(c, c, 0, comps)
+
+
+@pytest.mark.parametrize("model", [
+    FiniteTable.cyclic(2, "g"), FiniteTable.cyclic(3, "g"),
+    FiniteTable.symmetric3()], ids=["C2", "C3", "S3"])
+def test_kills_homology_linearized_matches_reference(model):
+    rng = random.Random(17)
+    seen = set()
+    for _ in range(12):
+        a = _seeded_chain_maps(model, rng)
+        b = _seeded_chain_maps(model, rng)
+        for eps in (1, -1):
+            ref = equal_on_linearized_homology_reference(a, b.scale(eps))
+            new = kills_homology(a - b.scale(eps), linearized=True)
+            assert ref == (new is None)
+            seen.add(ref)
+    assert seen == {True, False}
+
+
+def test_kills_homology_names_the_first_degree():
+    c = _test_complex(FiniteTable.cyclic(3, "g"))
+    from pdpairs.chains import LambdaChainMap
+    ident = LambdaChainMap.identity(c)
+    assert kills_homology(ident) == "nonzero on homology at degree 0"
+    assert kills_homology(ident, linearized=True) == \
+        "nonzero on homology at degree 0"
+    assert kills_homology(ident.scale(0), linearized=True) is None
+    # Lambda --2--> Lambda has only torsion homology, H_0 = (Z/2)^k
+    g2 = FiniteTable.cyclic(2, "g")
+    two = LambdaComplex(g2, {0: 1, 1: 1},
+                        {1: LambdaMatrix.from_int_rows(g2, [[2]])},
+                        check=False)
+    ident = LambdaChainMap.identity(two)
+    for linearized in (False, True):
+        assert kills_homology(ident, linearized) == \
+            "nonzero on homology at degree 0"
+        assert kills_homology(ident.scale(2), linearized) is None

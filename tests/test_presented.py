@@ -1,10 +1,13 @@
 """Presented modules, cokernel functors, derived equivalence."""
 
+import random
+
 import pytest
 
 from pdpairs.chains import LambdaComplex, LambdaMatrix, compose
 from pdpairs.groups import (
     FiniteTable,
+    FreeAbelian,
     FreeProduct,
     InfiniteCyclic,
     TrivialGroup,
@@ -19,11 +22,16 @@ from pdpairs.presented import (
     augmentation_ideal_generators,
     derived_equivalence,
     express_in_ideal,
+    morphism_null_in_derived,
     search_factorization,
     verify_factorization,
 )
 
-from oracles import augmentation_ideal_finite_reference
+from oracles import (
+    augmentation_ideal_finite_reference,
+    augmentation_ideal_reference,
+    spans_reference,
+)
 
 
 def relative_solid_torus():
@@ -236,3 +244,101 @@ def test_G_on_map_of_homotopic_maps_is_derived_equal():
     # the generator matrices genuinely differ; equality only holds in the
     # quotient and the derived category
     assert gf.matrix != gg.matrix
+
+
+IDEAL_MODELS = [
+    FreeAbelian(["x", "y"]), FreeAbelian(["x", "y", "z"]),
+    FreeProduct(FiniteTable.cyclic(2, "a"), FiniteTable.cyclic(3, "b")),
+    FreeProduct(InfiniteCyclic("t"), FiniteTable.cyclic(3, "b"))] + [
+    FiniteTable.cyclic(p, "g") for p in range(1, 9)] + [
+    FiniteTable.symmetric3()]
+
+
+@pytest.mark.parametrize("model", IDEAL_MODELS, ids=[
+    "Z2", "Z3", "C2*C3", "Z*C3"] + [f"C{p}" for p in range(1, 9)] + ["S3"])
+def test_augmentation_ideal_matches_reference(model):
+    ideal = augmentation_ideal(model)
+    ref = augmentation_ideal_reference(model)
+    assert (ideal.ngens, ideal.label) == (ref.ngens, ref.label)
+    assert (ideal.relations.rows, ideal.relations.cols) == \
+        (ref.relations.rows, ref.relations.cols)
+    assert ideal.relations.columns() == ref.relations.columns()
+
+
+def _trivial_module(model):
+    """Z = Lambda / Lambda (s - 1) for the generator s of a cyclic group."""
+    return PresentedModule(model, 1, LambdaMatrix.from_rows(
+        model, [[model.unit(1) - 1]]))
+
+
+def test_derived_equivalence_exact_inverse_system_unsolvable():
+    # Z over Z[C2] has no torsion, so multiplication by 2 passes the screen,
+    # but it is zero in the stable endomorphisms of Z, which are Z/2
+    g2 = FiniteTable.cyclic(2, "s")
+    triv = _trivial_module(g2)
+    two = ModuleMorphism(triv, triv, LambdaMatrix.from_int_rows(g2, [[2]]))
+    v = derived_equivalence(two)
+    assert (v.status, v.reason) == ("not", "exact inverse system unsolvable")
+
+
+def test_morphism_null_in_derived_no_over_finite():
+    # 2 is the norm of C2 on Z, so it factors through Lambda; 1 does not
+    g2 = FiniteTable.cyclic(2, "s")
+    ident = ModuleMorphism.identity(_trivial_module(g2))
+    assert morphism_null_in_derived(ident) == "no"
+    assert morphism_null_in_derived(ident.scale(2)) == "yes"
+
+
+SPAN_MODELS = [FiniteTable.cyclic(2, "g"), FiniteTable.cyclic(3, "g"),
+               FiniteTable.symmetric3(), InfiniteCyclic("t")]
+SPAN_IDS = ["C2", "C3", "S3", "Z"]
+
+
+def _random_ring(model, rng):
+    ball = model.ball(1)
+    out = model.zero()
+    for _ in range(rng.randint(0, 2)):
+        out = out + model.unit(ball[rng.randrange(len(ball))],
+                               rng.randint(-2, 2))
+    return out
+
+
+def _random_matrix(model, rng, rows, cols):
+    return LambdaMatrix(model, rows, cols,
+                        [[_random_ring(model, rng) for _ in range(cols)]
+                         for _ in range(rows)])
+
+
+def _seeded_morphisms(model, seed):
+    """Morphisms whose matrices lie in the target's relation span, or near
+    it, between randomly presented modules."""
+    rng = random.Random(seed)
+    for _ in range(10):
+        ns = rng.randint(1, 2)
+        src = PresentedModule(model, ns, _random_matrix(
+            model, rng, ns, rng.randint(0, 2)))
+        ngens = rng.randint(1, 2)
+        tgt = PresentedModule(model, ngens, _random_matrix(
+            model, rng, ngens, rng.randint(0, 2)))
+        inside = compose(tgt.relations, _random_matrix(
+            model, rng, tgt.relations.cols, ns))
+        if rng.random() < 0.5:
+            inside = inside + _random_matrix(model, rng, ngens, ns)
+        yield ModuleMorphism(src, tgt, inside, check=False)
+
+
+@pytest.mark.parametrize("model", SPAN_MODELS, ids=SPAN_IDS)
+def test_morphism_is_zero_and_well_defined_match_column_reference(model):
+    for f in _seeded_morphisms(model, 5):
+        rel = f.target.relations
+        assert f.is_zero(2) == spans_reference(rel, f.matrix, 2)
+        images = compose(f.matrix, f.source.relations)
+        assert f.well_defined(2) == spans_reference(rel, images, 2)
+
+
+@pytest.mark.parametrize("model", SPAN_MODELS, ids=SPAN_IDS)
+def test_spans_matches_column_reference(model):
+    for f in _seeded_morphisms(model, 9):
+        rel = f.target.relations
+        for m in (f.matrix, compose(f.matrix, f.source.relations)):
+            assert f.target.spans(m, 2) == spans_reference(rel, m, 2)
