@@ -207,11 +207,9 @@ def build_lens(p: int) -> ChainPairData:
         augmentation=[g.one()],
         basis_names={0: ("v",), 1: ("e",), 2: ("F",), 3: ("E",)})
     e = g.identity()
-    diag_f = _tensor(g, c, (1, "v", e, "F"), (1, "F", e, "v"))
-    for r in range(p):
-        for s in range(r + 1, p):
-            diag_f = diag_f + _tensor(
-                g, c, (g.unit(r), "e", g.mul(s, g.inv(r)), "e"))
+    diag_f = _tensor(g, c, (1, "v", e, "F"), (1, "F", e, "v"),
+                     *((g.unit(r), "e", g.mul(s, g.inv(r)), "e")
+                       for r in range(p) for s in range(r + 1, p)))
     diag = {
         c.cell_index("v"): _tensor(g, c, (1, "v", e, "v")),
         c.cell_index("e"): _tensor(g, c, (1, "v", e, "e"), (1, "e", 1, "v")),

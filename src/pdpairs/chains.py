@@ -17,6 +17,10 @@ Conventions, fixed once for the whole library:
 * Cohomological degree k is stored as homological degree -k; the dual of a
   complex is its degree-negated bar-conjugate transpose.
 * A chain map of shift n satisfies d.f = (-1)^n f.d degreewise.
+
+eliminate_units removes pairs of cells joined by a unit boundary entry
++-g, over Lambda itself; what it leaves is chain homotopy equivalent to
+its input, so a homology question can be asked of the smaller complex.
 """
 
 from __future__ import annotations
@@ -903,6 +907,83 @@ def mapping_cone(f: LambdaChainMap) -> tuple:
         boundary[d] = m
     cone = LambdaComplex(model, ranks, boundary, check=False)
     return cone, layout
+
+
+def eliminate_units(c: LambdaComplex) -> LambdaComplex:
+    """A smaller complex, chain homotopy equivalent to c over Lambda.
+
+    Gaussian elimination on unit entries (Bar-Natan, Fast Khovanov homology
+    computations, arXiv math/0606318, Lemma 4.2).  While some boundary entry
+    u = d_k[a][b] is a unit +-g, cell b of degree k and cell a of degree k-1
+    are dropped, d_k[i][j] becomes d[i][j] - d[a][j] . u^-1 . d[i][b] (the
+    product in compose's order), and row b of d_{k+1} and column a of
+    d_{k-1} go.  Each pivot is the unit of least Markowitz cost
+    (row nnz - 1) * (column nnz - 1), ties to the lower degree, then row,
+    then column.  The surviving cells keep their order; the augmentation
+    and basis names are not carried over.
+    """
+    model = c.model
+    rows = {}  # k -> {i: {j: d_k[i][j]}}, nonzero entries only
+    cols = {}  # k -> {j: {i: d_k[i][j]}}
+    for k, m in c.boundary.items():
+        rows[k], cols[k] = {}, {}
+        for i, row in enumerate(m.data):
+            for j, e in enumerate(row):
+                if not e.is_zero():
+                    rows[k].setdefault(i, {})[j] = e
+                    cols[k].setdefault(j, {})[i] = e
+
+    def drop(by, other, k, key):
+        # remove line key of d_k from its index by, and its entries from the
+        # transposed index other
+        for o in by.get(k, {}).pop(key, ()):
+            del other[k][o][key]
+
+    live = {k: set(range(r)) for k, r in c.ranks.items()}
+    while True:
+        best = None
+        for k, rk in rows.items():
+            for i, row in rk.items():
+                for j, e in row.items():
+                    if e.is_unit_monomial() is not None:
+                        key = ((len(row) - 1) * (len(cols[k][j]) - 1),
+                               k, i, j)
+                        if best is None or key < best:
+                            best = key
+        if best is None:
+            break
+        _, k, a, b = best
+        g, sign = rows[k][a][b].is_unit_monomial()
+        uinv = model.unit(model.inv(g), sign)
+        row_a = {j: e for j, e in rows[k][a].items() if j != b}
+        col_b = {i: uinv * e for i, e in cols[k][b].items() if i != a}
+        drop(rows, cols, k, a)
+        drop(cols, rows, k, b)
+        for i, t in col_b.items():
+            row_i = rows[k][i]
+            for j, e in row_a.items():
+                new = row_i.get(j, model.zero()) - e * t
+                if new.is_zero():
+                    row_i.pop(j, None)
+                    cols[k][j].pop(i, None)
+                else:
+                    row_i[j] = new
+                    cols[k][j][i] = new
+        drop(rows, cols, k + 1, b)
+        drop(cols, rows, k - 1, a)
+        live[k].discard(b)
+        live[k - 1].discard(a)
+
+    keep = {k: sorted(s) for k, s in live.items() if s}
+    boundary = {}
+    for k, rk in rows.items():
+        src, tgt = keep.get(k), keep.get(k - 1)
+        if src and tgt:
+            boundary[k] = LambdaMatrix(model, len(tgt), len(src), [
+                [rk.get(i, {}).get(j, model.zero()) for j in src]
+                for i in tgt])
+    return LambdaComplex(model, {k: len(s) for k, s in keep.items()},
+                         boundary, check=False)
 
 
 def find_contraction(cone: LambdaComplex, radius: int = 4):

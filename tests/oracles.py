@@ -20,7 +20,9 @@ augmentation_ideal_reference is the whole presentation of I(G) as it was
 built by its own type dispatch; equal_on_linearized_homology_reference is
 the ladder's homology-level comparison as it was written apart from the
 Z^omega screen of is_nullhomotopic; spans_reference asks one column
-solver per column whether a module element is zero.  The dense matrix
+solver per column whether a module element is zero;
+verify_pd_finite_reference is verify_pd's finite branch as it was when
+it linearized the whole cone of the cap.  The dense matrix
 helpers (mat_mul, transpose, is_zero,
 diagonal_matrix, solve_integral) serve the tests only.
 """
@@ -492,6 +494,23 @@ def spans_reference(relations, m, radius=4):
         if LambdaColumnSolver(relations, radius).solve(col) is None:
             return False
     return True
+
+
+def verify_pd_finite_reference(pair, x):
+    """(status, reason, certificates, witness_kind) of verify_pd's finite
+    branch for the class x, as it was when the whole cone of the cap was
+    linearized and its integer homology read degree by degree."""
+    from pdpairs.chains import mapping_cone
+    cone, _ = mapping_cone(pair.cap_with(x, side="P"))
+    lin = cone.linearized()
+    certificates = []
+    for d, hom in sorted(lin.all_homology().items()):
+        if not hom.is_trivial():
+            return ("fail", f"cap is not a quasi-isomorphism: cone "
+                    f"H_{d} = {hom.describe()}", [], "")
+        certificates.append(
+            {"degree": d, "cone_homology": "0", "method": "linearized"})
+    return "pass", "", certificates, "linearized-acyclic"
 
 
 def transpose(a):

@@ -16,6 +16,7 @@ from pdpairs.chains import (
     apply_matrix,
     bounded_search,
     compose,
+    eliminate_units,
     eta_matrix,
     find_contraction,
     induce_Lk,
@@ -495,3 +496,119 @@ def test_from_columns_transposes():
     assert m == LambdaMatrix.from_rows(z, [[t, z.zero()], [z.one(), t - 1]])
     empty = LambdaMatrix.from_columns(z, 3, [])
     assert (empty.rows, empty.cols, empty.data) == (3, 0, [[], [], []])
+
+
+def _doubled(c):
+    """c (+) c, cell by cell."""
+    model = c.model
+    boundary = {}
+    for d, m in c.boundary.items():
+        out = LambdaMatrix.zero(model, 2 * m.rows, 2 * m.cols)
+        for i in range(m.rows):
+            for j in range(m.cols):
+                out.data[i][j] = out.data[m.rows + i][m.cols + j] = \
+                    m.data[i][j]
+        boundary[d] = out
+    return LambdaComplex(model, {d: 2 * r for d, r in c.ranks.items()},
+                         boundary, check=False)
+
+
+def _involution_complex():
+    """Lambda --(1+s)--> Lambda --(1-s)--> Lambda over S3, s an involution."""
+    s3 = FiniteTable.symmetric3()
+    one, s = s3.one(), s3.unit(3)
+    return LambdaComplex(s3, {0: 1, 1: 1, 2: 1},
+                         {1: LambdaMatrix.from_rows(s3, [[one - s]]),
+                          2: LambdaMatrix.from_rows(s3, [[one + s]])})
+
+
+def _seeded_cone(c, k, rng):
+    """Cone of k.id + d h + h d for a random h of radius-1 entries."""
+    model = c.model
+    ball = model.ball(1)
+
+    def entry():
+        out = model.zero()
+        for _ in range(rng.randint(1, 2)):
+            out = out + model.unit(ball[rng.randrange(len(ball))],
+                                   rng.choice((1, -1)))
+        return out
+    h = {d: LambdaMatrix.from_rows(model, [[entry() for _ in range(
+        c.rank(d))] for _ in range(c.rank(d + 1))])
+        for d in c.degrees() if d + 1 in c.ranks}
+    comps = {}
+    for d in c.degrees():
+        m = LambdaMatrix.identity(model, c.rank(d)).scale(k)
+        if d in h:
+            m = m + compose(c.boundary_or_zero(d + 1), h[d])
+        if d - 1 in h:
+            m = m + compose(h[d - 1], c.boundary_or_zero(d))
+        comps[d] = m
+    return mapping_cone(LambdaChainMap(c, c, 0, comps))[0]
+
+
+def _homology(c, degrees, linearized):
+    ic = c.linearized() if linearized else c.tensor_Zomega()
+    return [(h.free_rank, h.torsion) for h in map(ic.homology, degrees)]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: lens_complex(2), lambda: lens_complex(3), lambda: lens_complex(4),
+    _involution_complex, solid_torus_complex],
+    ids=["C2", "C3", "C4", "S3", "Z"])
+def test_eliminate_units_preserves_homology(build):
+    # cones of k.id + d h + h d on c (+) c; k = 0, 2, 3 leave homology,
+    # with torsion for k = 2, 3
+    rng = random.Random(23)
+    c = _doubled(build())
+    finite = c.model.is_finite()
+    eliminated = 0
+    torsion = False
+    for k in (0, 1, -1, 2, 3) * 3:
+        cone = _seeded_cone(c, k, rng)
+        reduced = eliminate_units(cone)
+        reduced.validate()  # shapes and d.d = 0
+        span = range(min(cone.ranks), max(cone.ranks) + 1)
+        want = _homology(cone, span, finite)
+        assert _homology(reduced, span, finite) == want
+        eliminated += sum(cone.ranks.values()) - sum(reduced.ranks.values())
+        torsion |= any(t for _, t in want)
+    assert eliminated > 0 and torsion
+
+
+def test_eliminate_units_schur_update_order():
+    # the one unit is r at (0, 0): d'[1][1] = 0 - x . r^-1 . y, which over
+    # S3 differs from y . r^-1 . x
+    s3 = FiniteTable.symmetric3()
+    r, rinv = s3.unit(1), s3.unit(s3.inv(1))
+    x, y = s3.unit(3) * 2, s3.one() + r
+    c = LambdaComplex(s3, {0: 2, 1: 2}, {1: LambdaMatrix.from_rows(
+        s3, [[r, x], [y, s3.zero()]])})
+    reduced = eliminate_units(c)
+    assert reduced.ranks == {0: 1, 1: 1}
+    assert reduced.boundary_or_zero(1).data[0][0] == -(x * rinv * y)
+    assert x * rinv * y != y * rinv * x
+
+
+def test_eliminate_units_least_markowitz_cost():
+    # units at (0, 0), cost 1, and (1, 0), cost 0: pivoting on (1, 0)
+    # leaves [[2]], on (0, 0) it would leave [[-2]]
+    z = InfiniteCyclic("t")
+    c = LambdaComplex(z, {0: 2, 1: 2}, {1: LambdaMatrix.from_int_rows(
+        z, [[1, 2], [1, 0]])})
+    reduced = eliminate_units(c)
+    assert reduced.boundary_or_zero(1) == LambdaMatrix.from_int_rows(z, [[2]])
+    point = LambdaComplex(z, {0: 1}, {})
+    assert eliminate_units(point).ranks == {0: 1}
+
+
+def test_eliminate_units_drops_the_pivot_cells_everywhere():
+    # d_2 = (1, 1)^T pivots first (cost 0), removing c2_0 and c1_0; column
+    # c1_0 of d_1 must go with it, or its unit would be the next pivot and
+    # leave a spurious H_1
+    triv = TrivialGroup()
+    c = LambdaComplex(triv, {0: 2, 1: 2, 2: 1}, {
+        1: LambdaMatrix.from_int_rows(triv, [[1, -1], [1, -1]]),
+        2: LambdaMatrix.from_int_rows(triv, [[1], [1]])})
+    reduced = eliminate_units(c)
+    assert reduced.ranks == {0: 1} and not reduced.boundary

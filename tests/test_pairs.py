@@ -13,6 +13,7 @@ from pdpairs.catalog import (
     build_lens,
     build_solid_torus,
     build_solid_torus_collared,
+    catalog_entries,
 )
 from pdpairs.chains import (
     LambdaComplex,
@@ -27,6 +28,7 @@ from pdpairs.intlinalg import mat_vec
 from oracles import (
     equal_on_linearized_homology_reference,
     solve_diagonal_cell_reference,
+    verify_pd_finite_reference,
 )
 from pdpairs.pairs import (
     ChainPairData,
@@ -695,3 +697,61 @@ def test_kills_homology_names_the_first_degree():
         assert kills_homology(ident, linearized) == \
             "nonzero on homology at degree 0"
         assert kills_homology(ident.scale(2), linearized) is None
+
+
+def _finite_pairs():
+    """Every finite catalog pair and fixture, and L(p, 1) for p <= 12."""
+    import pathlib
+    from pdpairs.dsl import ParseError, SemanticError, load_scenario
+    pairs = [e.builder() for e in catalog_entries()]
+    fixtures = pathlib.Path(__file__).resolve().parents[1] / "src" / \
+        "pdpairs" / "fixtures"
+    for path in sorted(fixtures.glob("*.pdp")):
+        try:
+            pairs.extend(load_scenario(path.read_text()).pairs.values())
+        except (ParseError, SemanticError):
+            continue
+    pairs.extend(build_lens(p) for p in range(2, 13))
+    return [p for p in pairs if p.model.is_finite()]
+
+
+def _finite_branch(v):
+    return v.status, v.reason, v.certificates, v.witness_kind
+
+
+def test_verify_pd_finite_matches_reference():
+    pairs = _finite_pairs()
+    assert len(pairs) == 5 + 2 + 11
+    for pair in pairs:
+        v = verify_pd(pair)
+        assert _finite_branch(v) == \
+            verify_pd_finite_reference(pair, v.fundamental_class), pair.name
+
+
+def test_verify_pd_finite_failure_matches_reference(monkeypatch):
+    cap_with = ChainPairData.cap_with
+    monkeypatch.setattr(ChainPairData, "cap_with",
+                        lambda self, x, side="P": cap_with(self, x, side)
+                        .scale(2))
+    pair = build_lens(5)
+    v = verify_pd(pair)
+    assert v.reason.startswith("cap is not a quasi-isomorphism: cone H_")
+    assert _finite_branch(v) == \
+        verify_pd_finite_reference(pair, v.fundamental_class)
+
+
+def test_verify_pd_lens_linearizes_no_cells(monkeypatch):
+    # the unit entries of the L(30, 1) cone eliminate it to nothing, so no
+    # block matrix with a cell is built
+    from pdpairs import chains
+    cells = []
+    block = chains.system_block_matrix
+
+    def spy(m):
+        out = block(m)
+        cells.append(out.rows * out.cols)
+        return out
+    monkeypatch.setattr(chains, "system_block_matrix", spy)
+    v = verify_pd(build_lens(30))
+    assert v.passed() and len(v.certificates) == 5
+    assert not any(cells)
