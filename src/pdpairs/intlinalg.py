@@ -425,11 +425,17 @@ def sparse_solve(rows, ncols, rhs):
     (len(row r) - 1) * (len(col_rows[c]) - 1), ties going to the smaller r
     and then the smaller c, so reports are byte-stable.  col_rows[c] also
     keeps the rows already used as pivots that held c.  Candidates wait in
-    a heap of (cost, r, c) keys.  After each pivot, keys are pushed for the
-    unit entries of the rows it changed and of the columns whose col_rows
-    size changed; a popped key is dropped when its entry is gone, is no
-    longer a unit or costs something else now.  So each step finds the
-    pivot a scan of every live row would, at the price of what it touches.
+    a heap of (cost, r, c) keys, under one invariant: every live unit entry
+    has a queued key at most its current cost.  So a key is pushed when its
+    entry becomes a unit (new fill, or a value that moves onto +-1), and for
+    every unit of a row that got shorter or of a column whose col_rows got
+    shorter; an entry whose cost only grew keeps its old key.  A popped key
+    is dropped when its entry is gone or is no longer a unit, and pushed
+    again at the current cost when that is higher.  It is never above the
+    cost: the lower key the invariant promises would have popped first.  A
+    key equal to its cost pivots, and by the invariant that pivot is the
+    least (cost, r, c) of all live units, the one a scan of every live row
+    would pick.
     """
     rows = [dict(r) for r in rows]
     b = list(rhs)
@@ -456,8 +462,12 @@ def sparse_solve(rows, ncols, rhs):
         key, ri, c = heapq.heappop(heap)
         row = rows[ri]
         val = row.get(c)
-        if val not in (1, -1) or cost(ri, c) != key:
+        if val not in (1, -1):
             continue  # stale key; dead rows are empty dicts
+        now = cost(ri, c)
+        if now > key:  # the cost grew since the push
+            heapq.heappush(heap, (now, ri, c))
+            continue
         snapshot = {cc: vv for cc, vv in row.items() if cc != c}
         eliminated.append((c, val, snapshot, b[ri]))
         users = col_rows.pop(c)
@@ -465,42 +475,43 @@ def sparse_solve(rows, ncols, rhs):
         alive_rows.discard(ri)
         alive_cols.discard(c)
         sizes = [(cc, len(col_rows[cc])) for cc in snapshot]
-        touched = set()
+        push = set()
         for rj in users:
             if rj not in alive_rows:
                 continue
             other = rows[rj]
+            length = len(other)
             beta = other.pop(c, 0)
             if not beta:
                 continue
-            touched.add(rj)
             factor = beta * val
             for cc, vv in snapshot.items():
-                nv = other.get(cc, 0) - factor * vv
+                old = other.get(cc, 0)
+                nv = old - factor * vv
                 if nv:
                     other[cc] = nv
                     col_rows[cc].add(rj)
+                    if nv in (1, -1) and old not in (1, -1):
+                        push.add((rj, cc))
                 else:
                     other.pop(cc, None)
                     col_rows[cc].discard(rj)
             b[rj] -= factor * b[ri]
-        rows[ri] = {}
-        for rj in touched:
-            other = rows[rj]
             if not other:
                 if b[rj] != 0:
                     return None
                 alive_rows.discard(rj)
-            for cc, vv in other.items():
-                if vv in (1, -1):
-                    heapq.heappush(heap, (cost(rj, cc), rj, cc))
+            elif len(other) < length:
+                push.update((rj, cc) for cc, vv in other.items()
+                            if vv in (1, -1))
+        rows[ri] = {}
         for cc, size in sizes:
             members = col_rows[cc]
-            if len(members) == size:
-                continue
-            for rj in members:
-                if rj not in touched and rows[rj].get(cc) in (1, -1):
-                    heapq.heappush(heap, (cost(rj, cc), rj, cc))
+            if len(members) < size:
+                push.update((rj, cc) for rj in members
+                            if rows[rj].get(cc) in (1, -1))
+        for rj, cc in push:
+            heapq.heappush(heap, (cost(rj, cc), rj, cc))
     # dense core
     core_cols = sorted(alive_cols)
     col_pos = {c: i for i, c in enumerate(core_cols)}

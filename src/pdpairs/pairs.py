@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from .chains import (
     IntComplex,
     LambdaChainMap,
-    LambdaColumnSolver,
     LambdaComplex,
     LambdaLinearSystem,
     LambdaMatrix,
@@ -313,12 +312,14 @@ def solve_diagonal_cell(complex_: LambdaComplex, diagonal: dict, cell,
     candidate vertices and translations in deterministic order, then solves
     for middle terms of inner degrees, at radii 1 to radius in turn (one
     exact attempt over a finite model).  At each radius the middle terms
-    are the unknowns of one Lambda-matrix: a column per basis triple
+    are the unknowns of one Lambda-matrix M: a column per basis triple
     ((p, i), k, (d - p, j)) with k in the ball, holding the boundary of that
-    triple, and a row per triple those boundaries reach.  One column solver
-    then serves every end choice, each a solve of its deficit.  Returns a
-    validated LambdaTensor or None.  end_vertices pins (v0, v1), which keeps
-    the end terms of several top cells coherent.
+    triple, and a row per triple those boundaries reach.  Each end choice
+    is one LambdaLinearSystem M x = deficit on the same ball, solved by the
+    sparse engine: unit pivots in Markowitz order, then a Smith form of the
+    small residual core only.  Returns a validated LambdaTensor or None.
+    end_vertices pins (v0, v1), which keeps the end terms of several top
+    cells coherent.
     """
     model = complex_.model
     d, idx = cell
@@ -334,7 +335,7 @@ def solve_diagonal_cell(complex_: LambdaComplex, diagonal: dict, cell,
     rights = verts if end_vertices is None else [end_vertices[1]]
 
     def attempt(rad):
-        middles, row_index, solver = _middle_solver(complex_, d, rad)
+        middles, row_index, m = _middle_matrix(complex_, d, rad)
         for v_left in lefts:
             for v_right in rights:
                 for k_end in model.ball(rad):
@@ -345,16 +346,19 @@ def solve_diagonal_cell(complex_: LambdaComplex, diagonal: dict, cell,
                     deficit = target - ends.boundary(complex_, complex_)
                     if any(key not in row_index for key in deficit.terms):
                         continue  # a triple no middle term reaches
-                    rhs = [model.zero()] * len(row_index)
+                    rhs = LambdaMatrix(model, m.rows, 1)
                     for key, coeff in deficit.terms.items():
-                        rhs[row_index[key]] = coeff
-                    sol = solver.solve(rhs)
+                        rhs.data[row_index[key]][0] = coeff
+                    system = LambdaLinearSystem(model)
+                    system.add_var("x", m.cols, 1)
+                    system.add_constraint([(1, m, "x", None)], rhs)
+                    sol = system.solve(rad)
                     if sol is None:
                         continue
                     tentative = ends
-                    for key, x in zip(middles, sol):
-                        if not x.is_zero():
-                            tentative.add_term(*key, x)
+                    for key, row in zip(middles, sol["x"].data):
+                        if not row[0].is_zero():
+                            tentative.add_term(*key, row[0])
                     # validate the chain-map law exactly
                     if (tentative.boundary(complex_, complex_)
                             - target).is_zero():
@@ -364,9 +368,10 @@ def solve_diagonal_cell(complex_: LambdaComplex, diagonal: dict, cell,
     return bounded_search(model, radius, attempt, first=range(1, radius))[0]
 
 
-def _middle_solver(complex_, d: int, radius: int):
+def _middle_matrix(complex_, d: int, radius: int):
     """The middle triples of a d-cell's diagonal, the row index of the
-    triples their boundaries reach, and the column solver of that matrix."""
+    triples their boundaries reach, and the Lambda-matrix of those
+    boundaries."""
     model = complex_.model
     ball = model.ball(radius)
     middles = []
@@ -390,7 +395,7 @@ def _middle_solver(complex_, d: int, radius: int):
     for c, col in enumerate(columns):
         for key, coeff in col.items():
             m.data[row_index[key]][c] = coeff
-    return middles, row_index, LambdaColumnSolver(m, radius)
+    return middles, row_index, m
 
 
 # ---------------------------------------------------------------------------

@@ -608,7 +608,7 @@ def _assemble_realized(skeleton: ChainPairData, d3_rel: LambdaMatrix,
                          basis_names=names)
     diag = dict(skeleton.diagonal)
     for j in range(n_new):
-        t = solve_diagonal_cell(full, diag, (3, j), radius=2)
+        t = solve_diagonal_cell(full, diag, (3, j), radius=radius)
         if t is None:
             raise SumError(f"no diagonal found for realized cell E{j}")
         diag[(3, j)] = t

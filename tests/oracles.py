@@ -9,8 +9,10 @@ Smith form as it was when every step also updated dense witnesses (same
 pivots, same witnesses as the package's, which replays them from logs);
 homology_at_reference is homology as it was computed before it read kernel
 coordinates from one Smith form (a dense complex check, one solve against
-a kernel basis per column of d_in); sparse_solve_reference finishes its
-residual core with the package's dense LinearSolver;
+a kernel basis per column of d_in); sparse_solve_scan_reference scans
+every live row for each pivot and sparse_solve_reference is the candidate
+heap as it was before its keys became lazy, both finishing the residual
+core with the package's dense LinearSolver;
 column_solve_reference solves with the package's system_block_matrix and
 LinearSolver; solve_diagonal_cell_reference is the diagonal search as it
 was when each end choice built and eliminated its own integer system;
@@ -27,6 +29,7 @@ helpers (mat_mul, transpose, is_zero,
 diagonal_matrix, solve_integral) serve the tests only.
 """
 
+import heapq
 import itertools
 import math
 
@@ -173,7 +176,7 @@ def _solve_exact(basis_cols, n, k, target):
     return [s * best[i] for i in range(k)]
 
 
-def sparse_solve_reference(rows, ncols, rhs):
+def sparse_solve_scan_reference(rows, ncols, rhs):
     """The full-scan unit-pivot elimination that intlinalg.sparse_solve
     replaced with a candidate heap.
 
@@ -267,6 +270,111 @@ def sparse_solve_reference(rows, ncols, rhs):
     for ri in alive_rows:
         if not rows[ri] and b[ri] != 0:
             return None
+    for c, val, snapshot, bval in reversed(eliminated):
+        acc = bval
+        for cc, vv in snapshot.items():
+            acc -= vv * solution[cc]
+        solution[c] = val * acc  # val is +-1, so this is division
+    return solution
+
+
+def sparse_solve_reference(rows, ncols, rhs):
+    """intlinalg.sparse_solve as it was before its heap kept lazy keys.
+
+    After each pivot it pushed a key for every unit entry of each row the
+    pivot changed and of each column whose col_rows size changed, and it
+    dropped every popped key that was not its entry's current cost.  The
+    lazy-key version must pick the same pivots and so return the same
+    vector, or None.
+    """
+    from pdpairs.intlinalg import IntMatrix, LinearSolver
+    rows = [dict(r) for r in rows]
+    b = list(rhs)
+    col_rows = {}
+    for ri, row in enumerate(rows):
+        for c in row:
+            col_rows.setdefault(c, set()).add(ri)
+    alive_rows = set()
+    for ri, row in enumerate(rows):
+        if row:
+            alive_rows.add(ri)
+        elif b[ri] != 0:
+            return None
+    alive_cols = set(col_rows)
+    eliminated = []  # (col, sign, row-dict snapshot, b-value)
+
+    def cost(ri, c):
+        return (len(rows[ri]) - 1) * (len(col_rows[c]) - 1)
+
+    heap = [(cost(ri, c), ri, c) for ri, row in enumerate(rows)
+            for c, v in row.items() if v in (1, -1)]
+    heapq.heapify(heap)
+    while heap:
+        key, ri, c = heapq.heappop(heap)
+        row = rows[ri]
+        val = row.get(c)
+        if val not in (1, -1) or cost(ri, c) != key:
+            continue  # stale key; dead rows are empty dicts
+        snapshot = {cc: vv for cc, vv in row.items() if cc != c}
+        eliminated.append((c, val, snapshot, b[ri]))
+        users = col_rows.pop(c)
+        users.discard(ri)
+        alive_rows.discard(ri)
+        alive_cols.discard(c)
+        sizes = [(cc, len(col_rows[cc])) for cc in snapshot]
+        touched = set()
+        for rj in users:
+            if rj not in alive_rows:
+                continue
+            other = rows[rj]
+            beta = other.pop(c, 0)
+            if not beta:
+                continue
+            touched.add(rj)
+            factor = beta * val
+            for cc, vv in snapshot.items():
+                nv = other.get(cc, 0) - factor * vv
+                if nv:
+                    other[cc] = nv
+                    col_rows[cc].add(rj)
+                else:
+                    other.pop(cc, None)
+                    col_rows[cc].discard(rj)
+            b[rj] -= factor * b[ri]
+        rows[ri] = {}
+        for rj in touched:
+            other = rows[rj]
+            if not other:
+                if b[rj] != 0:
+                    return None
+                alive_rows.discard(rj)
+            for cc, vv in other.items():
+                if vv in (1, -1):
+                    heapq.heappush(heap, (cost(rj, cc), rj, cc))
+        for cc, size in sizes:
+            members = col_rows[cc]
+            if len(members) == size:
+                continue
+            for rj in members:
+                if rj not in touched and rows[rj].get(cc) in (1, -1):
+                    heapq.heappush(heap, (cost(rj, cc), rj, cc))
+    # dense core
+    core_cols = sorted(alive_cols)
+    col_pos = {c: i for i, c in enumerate(core_cols)}
+    core_rows = sorted(alive_rows)
+    solution = [0] * ncols
+    if core_rows:
+        mat = IntMatrix.zero(len(core_rows), len(core_cols))
+        vec = []
+        for k, ri in enumerate(core_rows):
+            for c, vv in rows[ri].items():
+                mat.data[k][col_pos[c]] = vv
+            vec.append(b[ri])
+        core = LinearSolver(mat).solve(vec)
+        if core is None:
+            return None
+        for c, x in zip(core_cols, core):
+            solution[c] = x
     for c, val, snapshot, bval in reversed(eliminated):
         acc = bval
         for cc, vv in snapshot.items():

@@ -225,5 +225,29 @@ def test_cli_json_matches_golden():
         assert run_for_golden(argv) == golden[" ".join(argv)], argv
 
 
+@pytest.mark.parametrize("argv, env", [
+    (["--radius", "1", "realize", "solid_torus.pdp", "--json"], None),
+    (["realize", "solid_torus.pdp", "--json"], "1"),
+])
+def test_realize_diagonals_search_at_the_given_radius(monkeypatch, argv,
+                                                      env):
+    from pdpairs import sums
+    radii = []
+    real = sums.solve_diagonal_cell
+
+    def spy(complex_, diagonal, cell, radius=2, end_vertices=None):
+        radii.append(radius)
+        return real(complex_, diagonal, cell, radius, end_vertices)
+
+    if env is None:
+        monkeypatch.delenv("PD3_SEARCH_RADIUS", raising=False)
+    else:
+        monkeypatch.setenv("PD3_SEARCH_RADIUS", env)
+    monkeypatch.setattr(sums, "solve_diagonal_cell", spy)
+    golden = json.loads(GOLDEN.read_text())
+    assert run_for_golden(argv) == golden["realize solid_torus.pdp --json"]
+    assert radii == [1]
+
+
 if __name__ == "__main__":
     record_golden()

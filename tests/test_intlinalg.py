@@ -22,6 +22,7 @@ from oracles import (
     snf_reference,
     solve_integral,
     sparse_solve_reference,
+    sparse_solve_scan_reference,
 )
 from pdpairs import intlinalg
 from pdpairs.dsl import ParseError, SemanticError, load_scenario
@@ -301,7 +302,7 @@ def test_sparse_solve_matches_full_scan_reference(kind):
         before = [dict(r) for r in rows]
         x = sparse_solve(rows, ncols, rhs)
         assert rows == before  # the input is left alone
-        assert x == sparse_solve_reference(rows, ncols, rhs)
+        assert x == sparse_solve_scan_reference(rows, ncols, rhs)
         if x is not None:
             solved += 1
             assert len(x) == ncols
@@ -318,6 +319,68 @@ def test_sparse_solve_matches_full_scan_reference(kind):
         assert unsolved > solved
     else:
         assert solved > 0
+
+
+def _lazy_key_system(rng):
+    """A unit-heavy system whose elimination fills in, cancels, empties
+    rows and turns units into the other unit: some rows are combinations
+    of others, and coefficients +-2 move entries across +-1."""
+    m, n = rng.randint(4, 40), rng.randint(3, 30)
+    values = [1, -1, 1, -1, 1, -1, 2, -2]
+    rows = [{c: rng.choice(values)
+             for c in rng.sample(range(n), rng.randint(1, min(6, n)))}
+            for _ in range(m)]
+    for _ in range(rng.randint(0, m // 2)):
+        combo = {}
+        for ri in rng.sample(range(len(rows)), 2):
+            q = rng.choice([1, -1, 2])
+            for c, v in rows[ri].items():
+                combo[c] = combo.get(c, 0) + q * v
+        rows.append({c: v for c, v in combo.items() if v})
+    rng.shuffle(rows)
+    x0 = [rng.randint(-2, 2) for _ in range(n)]
+    rhs = [sum(v * x0[c] for c, v in row.items()) for row in rows]
+    if rhs and rng.random() < 0.2:
+        rhs[rng.randrange(len(rhs))] += 1
+    return rows, n, rhs
+
+
+def _lens_systems(monkeypatch):
+    """Every sparse system that computing nu of L(5..12,1) and realizing
+    L(2..9,1) compiles; the realizations include each diagonal system."""
+    from pdpairs.catalog import build_lens
+    from pdpairs.invariants import nu_of_pair, nu_verdict
+    from pdpairs.pairs import verify_pd
+    from pdpairs.sums import export_realization_input, realize_free_case
+    systems = []
+
+    def record(rows, ncols, rhs):
+        systems.append(([dict(r) for r in rows], ncols, list(rhs)))
+        return sparse_solve(rows, ncols, rhs)
+
+    monkeypatch.setattr(intlinalg, "sparse_solve", record)
+    for p in range(5, 13):
+        pair = build_lens(p)
+        nu_verdict(nu_of_pair(pair, verify_pd(pair).fundamental_class))
+    for p in range(2, 10):
+        pair = build_lens(p)
+        realize_free_case(export_realization_input(pair, verify_pd(pair)))
+    monkeypatch.undo()
+    return systems
+
+
+def test_sparse_solve_lazy_keys_match_eager_reference(monkeypatch):
+    rng = random.Random("sparse-solve-lazy-keys")
+    systems = [_lazy_key_system(rng) for _ in range(400)]
+    lens = _lens_systems(monkeypatch)
+    # the diagonal system of L(p,1) is 3p^2 x 2p^2
+    assert (3 * 9 * 9, 2 * 9 * 9) in [(len(r), n) for r, n, _ in lens]
+    outcomes = []
+    for rows, ncols, rhs in systems + lens:
+        x = sparse_solve(rows, ncols, rhs)
+        assert x == sparse_solve_reference(rows, ncols, rhs)
+        outcomes.append(x is not None)
+    assert True in outcomes and False in outcomes
 
 
 def _random_snf_input(rng, kind):

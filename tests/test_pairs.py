@@ -506,35 +506,52 @@ def test_solve_diagonal_cell_agrees_with_reference_on_no_diagonal():
                                          radius=2) is None
 
 
-def test_solve_diagonal_cell_builds_one_column_solver_per_radius(
-        monkeypatch):
+def test_solve_diagonal_cell_solves_on_the_sparse_engine(monkeypatch):
     import pdpairs.chains as chains
     import pdpairs.intlinalg as intlinalg
-    built = {"column": 0, "integer": 0}
+    lens_call = next(call for call in _diagonal_calls(
+        monkeypatch, lambda: build_lens(14)) if call[2] == (3, 0))
+    pair = build_solid_torus()
+    partial = {c: t for c, t in pair.diagonal.items() if c[0] < 3}
+    calls = [(pair.P, partial, pair.cell("E"), {"radius": 2}),
+             _collared_e1_call(), lens_call]
+    built = {"column": 0, "systems": [], "cores": [], "depth": 0}
     column_init = chains.LambdaColumnSolver.__init__
     integer_init = intlinalg.LinearSolver.__init__
+    real_sparse = intlinalg.sparse_solve
 
     def count_column(self, *args, **kwargs):
         built["column"] += 1
         column_init(self, *args, **kwargs)
 
-    def count_integer(self, *args, **kwargs):
-        built["integer"] += 1
-        integer_init(self, *args, **kwargs)
+    def count_integer(self, a):
+        # a Smith form built outside sparse_solve would be a dense solve
+        assert built["depth"] == 1
+        built["cores"].append(a.rows * a.cols)
+        integer_init(self, a)
+
+    def sparse(rows, ncols, rhs):
+        built["systems"].append((len(rows), ncols))
+        built["depth"] += 1
+        try:
+            return real_sparse(rows, ncols, rhs)
+        finally:
+            built["depth"] -= 1
 
     monkeypatch.setattr(chains.LambdaColumnSolver, "__init__", count_column)
     monkeypatch.setattr(intlinalg.LinearSolver, "__init__", count_integer)
-    pair = build_solid_torus()
-    partial = {c: t for c, t in pair.diagonal.items() if c[0] < 3}
-    calls = [(pair.P, partial, pair.cell("E"), {"radius": 2}),
-             _collared_e1_call()]
+    monkeypatch.setattr(intlinalg, "sparse_solve", sparse)
     for complex_, diagonal, cell, kwargs in calls:
-        built.update(column=0, integer=0)
+        built.update(column=0, systems=[], cores=[])
         assert solve_diagonal_cell(complex_, diagonal, cell,
                                    **kwargs) is not None
-        assert 1 <= built["column"] <= kwargs["radius"]
-        # the only integer systems are the column solvers' own
-        assert built["integer"] == built["column"]
+        assert built["column"] == 0
+        assert built["systems"]
+        assert all(cells <= 588 * 392 // 100 for cells in built["cores"])
+    # the realized L(14,1) cell: one end choice, and unit pivots leave no
+    # residual core of its 588 x 392 integer system
+    assert built["systems"] == [(588, 392)]
+    assert built["cores"] == []
 
 
 def test_algebraic_sum_two_of_three_on_interior_model():
