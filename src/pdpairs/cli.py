@@ -3,7 +3,8 @@
 Subcommands: homology, verify, nu, sum, realize, catalog.  Exit codes:
 0 pass / expected, 1 fail, 2 unknown, 3 input error, which includes a bad
 flag or a missing argument.  The bounded-search radius is a positive
-integer: --radius, else the PD3_SEARCH_RADIUS environment variable, else 4.
+integer: --radius, before or after the subcommand (after wins), else the
+PD3_SEARCH_RADIUS environment variable, else 4.
 """
 
 from __future__ import annotations
@@ -276,27 +277,36 @@ def build_parser():
         prog="pdpairs",
         description="Chain-level Poincare duality workbench for "
                     "3-dimensional pairs")
+    radius_help = "bounded-search radius (default 4, or PD3_SEARCH_RADIUS)"
     ap.add_argument("--radius", type=_positive_radius, default=None,
-                    help="bounded-search radius (default 4, or "
-                         "PD3_SEARCH_RADIUS)")
+                    help=radius_help)
+    # the same flag after the subcommand; SUPPRESS leaves the global value
+    # alone when it is not given there
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--radius", type=_positive_radius,
+                        default=argparse.SUPPRESS, help=radius_help)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("homology", help="homology tables of a scenario")
+    p = sub.add_parser("homology", parents=[common],
+                       help="homology tables of a scenario")
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_homology)
 
-    p = sub.add_parser("verify", help="duality verdict and cap ladder")
+    p = sub.add_parser("verify", parents=[common],
+                       help="duality verdict and cap ladder")
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("nu", help="the nu morphism and its derived verdict")
+    p = sub.add_parser("nu", parents=[common],
+                       help="the nu morphism and its derived verdict")
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_nu)
 
-    p = sub.add_parser("sum", help="connected sums of two scenarios")
+    p = sub.add_parser("sum", parents=[common],
+                       help="connected sums of two scenarios")
     p.add_argument("left")
     p.add_argument("right")
     group = p.add_mutually_exclusive_group(required=True)
@@ -305,13 +315,14 @@ def build_parser():
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_sum)
 
-    p = sub.add_parser("realize",
+    p = sub.add_parser("realize", parents=[common],
                        help="round-trip realization from the 2-skeleton")
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_realize)
 
-    p = sub.add_parser("catalog", help="run all builtin examples")
+    p = sub.add_parser("catalog", parents=[common],
+                       help="run all builtin examples")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_catalog)
     return ap

@@ -669,21 +669,9 @@ class RingElem:
     __repr__ = __str__
 
 
-def ring_add(a: RingElem, b: RingElem) -> RingElem:
-    return a + b
-
-
-def ring_mul(a: RingElem, b: RingElem) -> RingElem:
-    return a * b
-
-
 def bar(a: RingElem) -> RingElem:
     return a.bar()
 
 
 def aug(a: RingElem) -> int:
     return a.aug()
-
-
-def augmentation_ideal_membership(a: RingElem) -> bool:
-    return a.in_augmentation_ideal()

@@ -10,8 +10,9 @@ solves against the same matrix are cheap, and applies its witnesses over
 nonzero entries only.  homology_at takes one Smith form of d_out and one
 of d_in in kernel coordinates, which it reads, like its generators, by
 replaying d_out's column log; it builds no U or V.  sparse_solve takes rows
-as dicts, eliminates unit pivots in Markowitz order from a candidate heap,
-and hands only the residual core to the dense Smith form.
+as dicts, eliminates unit pivots in Markowitz order from a candidate heap
+that starts with one key per row, and finishes the residual core with one
+Smith form, applied to the right-hand side by replaying its logs.
 """
 
 from __future__ import annotations
@@ -95,8 +96,9 @@ class SnfResult:
 
     Every mix has determinant 1.  U, Uinv and V are built the first time
     they are read, by replaying a log on the identity, and then kept.
-    V_times and Vinv_times apply V and V^-1 to other matrices by replaying
-    col_ops, so a caller that needs only such products never builds V.
+    U_times, V_times and Vinv_times apply U, V and V^-1 to other matrices
+    by replaying a log, so a caller that needs only such products never
+    builds U or V.
     """
 
     diag: list
@@ -111,20 +113,29 @@ class SnfResult:
     @cached_property
     def U(self) -> IntMatrix:
         m = self.shape[0]
-        rows = IntMatrix.identity(m).data
+        return IntMatrix(m, m, self.U_times(IntMatrix.identity(m).data))
+
+    def U_times(self, rows) -> list:
+        """U * W for W given as its m rows; returns the rows of the product.
+
+        U = E_t ... E_1 for the logged row operations E_1, ..., E_t, so
+        U * W applies E_1 first: the log runs forwards.  The rows of W are
+        not modified.
+        """
+        w = list(rows)
         for kind, i, k, arg in self.row_ops:
             if kind == "add":
-                rows[i] = [x + arg * y for x, y in zip(rows[i], rows[k])]
+                w[i] = [x + arg * y for x, y in zip(w[i], w[k])]
             elif kind == "swap":
-                rows[i], rows[k] = rows[k], rows[i]
+                w[i], w[k] = w[k], w[i]
             elif kind == "neg":
-                rows[i] = [-x for x in rows[i]]
+                w[i] = [-x for x in w[i]]
             else:
                 a, b, c, d = arg
-                ri, rk = rows[i], rows[k]
-                rows[i] = [a * x + b * y for x, y in zip(ri, rk)]
-                rows[k] = [c * x + d * y for x, y in zip(ri, rk)]
-        return IntMatrix(m, m, rows)
+                wi, wk = w[i], w[k]
+                w[i] = [a * x + b * y for x, y in zip(wi, wk)]
+                w[k] = [c * x + d * y for x, y in zip(wi, wk)]
+        return w
 
     @cached_property
     def Uinv(self) -> IntMatrix:
@@ -418,24 +429,35 @@ def sparse_solve(rows, ncols, rhs):
     """One integral solution of a sparse system, or None.
 
     rows: list of dicts col -> coefficient.  Unit pivots are eliminated by
-    substitution first (these systems are mostly incidence-like), then the
-    dense Smith engine finishes the residual core.
+    substitution first (these systems are mostly incidence-like), then one
+    Smith form finishes the residual core.
 
     Each pivot is the unit entry (r, c) of least Markowitz cost
     (len(row r) - 1) * (len(col_rows[c]) - 1), ties going to the smaller r
     and then the smaller c, so reports are byte-stable.  col_rows[c] also
     keeps the rows already used as pivots that held c.  Candidates wait in
-    a heap of (cost, r, c) keys, under one invariant: every live unit entry
-    has a queued key at most its current cost.  So a key is pushed when its
-    entry becomes a unit (new fill, or a value that moves onto +-1), and for
-    every unit of a row that got shorter or of a column whose col_rows got
-    shorter; an entry whose cost only grew keeps its old key.  A popped key
-    is dropped when its entry is gone or is no longer a unit, and pushed
-    again at the current cost when that is higher.  It is never above the
-    cost: the lower key the invariant promises would have popped first.  A
-    key equal to its cost pivots, and by the invariant that pivot is the
-    least (cost, r, c) of all live units, the one a scan of every live row
-    would pick.
+    a heap of (cost, r, c) keys.  Each row starts with one key, its seed:
+    that of its least unit.  The invariant: every live unit entry has a
+    queued key at most its current cost, or its row is still seeded and
+    the seed is at most the row's least unit.  So a key is pushed when its
+    entry becomes a unit (new fill, or a value that moves onto +-1), and
+    for every unit of a row that got shorter (the row is then no longer
+    seeded) or of a column whose col_rows got shorter, seeded or not; an
+    entry whose cost only grew keeps its old key.  A popped key that does
+    not pivot (its entry is gone, is no longer a unit, or costs more now)
+    expands its row if the row is still seeded: the row queues a key for
+    each of its units at the current cost and is no longer seeded.
+    Otherwise the key is dropped, or pushed again at the current cost if
+    its entry is still a unit.  A popped key is never above the cost: the
+    lower key the invariant promises would have popped first.  A key equal
+    to its cost pivots, and by the invariant that pivot is the least
+    (cost, r, c) of all live units, the one a scan of every live row would
+    pick.  A row that dies empty before its seed pops, as most rows of
+    nu's systems over a finite group do, costs one key however many units
+    it held.
+
+    The core's Smith form U A V = D is applied by replaying its logs on
+    the one right-hand side: U b, then V y, with neither U nor V built.
     """
     rows = [dict(r) for r in rows]
     b = list(rhs)
@@ -455,18 +477,42 @@ def sparse_solve(rows, ncols, rhs):
     def cost(ri, c):
         return (len(rows[ri]) - 1) * (len(col_rows[c]) - 1)
 
-    heap = [(cost(ri, c), ri, c) for ri, row in enumerate(rows)
-            for c, v in row.items() if v in (1, -1)]
+    def expand(ri):  # a key of seeded row ri popped without pivoting
+        seeded[ri] = 0
+        lr = len(rows[ri]) - 1
+        for c, v in rows[ri].items():
+            if v == 1 or v == -1:
+                heapq.heappush(heap, (lr * (len(col_rows[c]) - 1), ri, c))
+
+    seeded = bytearray(len(rows))
+    heap = []
+    for ri, row in enumerate(rows):
+        # the row's length is common to its units, so its least unit has
+        # the least (len(col_rows[c]), c)
+        least = None
+        for c, v in row.items():
+            if v == 1 or v == -1:
+                size = (len(col_rows[c]), c)
+                if least is None or size < least:
+                    least = size
+        if least is not None:
+            heap.append(((len(row) - 1) * (least[0] - 1), ri, least[1]))
+            seeded[ri] = 1
     heapq.heapify(heap)
     while heap:
         key, ri, c = heapq.heappop(heap)
         row = rows[ri]
         val = row.get(c)
-        if val not in (1, -1):
-            continue  # stale key; dead rows are empty dicts
+        if val not in (1, -1):  # stale key; dead rows are empty dicts
+            if seeded[ri]:
+                expand(ri)
+            continue
         now = cost(ri, c)
         if now > key:  # the cost grew since the push
-            heapq.heappush(heap, (now, ri, c))
+            if seeded[ri]:
+                expand(ri)
+            else:
+                heapq.heappush(heap, (now, ri, c))
             continue
         snapshot = {cc: vv for cc, vv in row.items() if cc != c}
         eliminated.append((c, val, snapshot, b[ri]))
@@ -501,7 +547,8 @@ def sparse_solve(rows, ncols, rhs):
                 if b[rj] != 0:
                     return None
                 alive_rows.discard(rj)
-            elif len(other) < length:
+            elif len(other) < length:  # all of rj's units get keys here
+                seeded[rj] = 0
                 push.update((rj, cc) for cc, vv in other.items()
                             if vv in (1, -1))
         rows[ri] = {}
@@ -512,22 +559,28 @@ def sparse_solve(rows, ncols, rhs):
                             if rows[rj].get(cc) in (1, -1))
         for rj, cc in push:
             heapq.heappush(heap, (cost(rj, cc), rj, cc))
-    # dense core
+    # the residual core
     core_cols = sorted(alive_cols)
     col_pos = {c: i for i, c in enumerate(core_cols)}
     core_rows = sorted(alive_rows)
     solution = [0] * ncols
     if core_rows:
         mat = IntMatrix.zero(len(core_rows), len(core_cols))
-        vec = []
         for k, ri in enumerate(core_rows):
             for c, vv in rows[ri].items():
                 mat.data[k][col_pos[c]] = vv
-            vec.append(b[ri])
-        core = LinearSolver(mat).solve(vec)
-        if core is None:
-            return None
-        for c, x in zip(core_cols, core):
+        res = snf(mat)
+        y = []
+        for i, (ci,) in enumerate(res.U_times([[b[ri]] for ri in core_rows])):
+            if i < res.rank:
+                q, r = divmod(ci, res.diag[i])
+                if r:
+                    return None
+                y.append([q])
+            elif ci:
+                return None
+        y += [[0]] * (len(core_cols) - res.rank)
+        for c, (x,) in zip(core_cols, res.V_times(y)):
             solution[c] = x
     for c, val, snapshot, bval in reversed(eliminated):
         acc = bval

@@ -26,7 +26,8 @@ solver per column whether a module element is zero;
 verify_pd_finite_reference is verify_pd's finite branch as it was when
 it linearized the whole cone of the cap.  The dense matrix
 helpers (mat_mul, transpose, is_zero,
-diagonal_matrix, solve_integral) serve the tests only.
+diagonal_matrix, solve_integral) and the group ring wrappers (ring_add,
+ring_mul, augmentation_ideal_membership) serve the tests only.
 """
 
 import heapq
@@ -619,6 +620,18 @@ def verify_pd_finite_reference(pair, x):
         certificates.append(
             {"degree": d, "cone_homology": "0", "method": "linearized"})
     return "pass", "", certificates, "linearized-acyclic"
+
+
+def ring_add(a, b):
+    return a + b
+
+
+def ring_mul(a, b):
+    return a * b
+
+
+def augmentation_ideal_membership(a):
+    return a.in_augmentation_ideal()
 
 
 def transpose(a):

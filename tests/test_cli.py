@@ -140,6 +140,35 @@ def test_bad_radius_env_exit_three(monkeypatch, capsys):
     assert main(["--radius", "2", "verify", fx("solid_torus.pdp")]) == 0
 
 
+@pytest.mark.parametrize("argv", [["verify", "lens_3.pdp", "--json"],
+                                  ["realize", "solid_torus.pdp", "--json"]])
+def test_radius_after_the_subcommand_matches_the_global_flag(argv, capsys):
+    argv = [fx(a) if a.endswith(".pdp") else a for a in argv]
+    runs = []
+    for form in (["--radius", "2", *argv], [*argv, "--radius", "2"]):
+        code = main(form)
+        data = json.loads(capsys.readouterr().out)
+        data.pop("timings", None)
+        runs.append((code, data))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0
+
+
+def test_radius_flag_in_either_place():
+    from pdpairs.cli import build_parser
+    parse = build_parser().parse_args
+    assert parse(["--radius", "2", "verify", "f"]).radius == 2
+    assert parse(["verify", "f", "--radius", "3"]).radius == 3
+    assert parse(["--radius", "2", "catalog", "--radius", "3"]).radius == 3
+    assert parse(["verify", "f"]).radius is None
+
+
+def test_bad_radius_after_the_subcommand_exit_three(capsys):
+    assert main(["verify", fx("lens_3.pdp"), "--radius", "0"]) == 3
+    err = capsys.readouterr().err
+    assert "search radius must be a positive integer, not '0'" in err
+
+
 def test_help_exit_zero(capsys):
     assert main(["--help"]) == 0
     assert main(["verify", "--help"]) == 0

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import augmentation_ideal_membership, ring_add, ring_mul
 from pdpairs.groups import (
     FiniteTable,
     FreeAbelian,
@@ -13,10 +14,7 @@ from pdpairs.groups import (
     TrivialGroup,
     RingElem,
     aug,
-    augmentation_ideal_membership,
     bar,
-    ring_add,
-    ring_mul,
 )
 
 

@@ -5,6 +5,7 @@ characterization of the invariant factors: d_1 ... d_k = gcd of all k x k
 minors.  It shares no code with the elimination engine.
 """
 
+import heapq
 import itertools
 import math
 import pathlib
@@ -345,13 +346,8 @@ def _lazy_key_system(rng):
     return rows, n, rhs
 
 
-def _lens_systems(monkeypatch):
-    """Every sparse system that computing nu of L(5..12,1) and realizing
-    L(2..9,1) compiles; the realizations include each diagonal system."""
-    from pdpairs.catalog import build_lens
-    from pdpairs.invariants import nu_of_pair, nu_verdict
-    from pdpairs.pairs import verify_pd
-    from pdpairs.sums import export_realization_input, realize_free_case
+def _recorded_systems(monkeypatch, run):
+    """Every sparse system that run() hands to sparse_solve."""
     systems = []
 
     def record(rows, ncols, rhs):
@@ -359,28 +355,99 @@ def _lens_systems(monkeypatch):
         return sparse_solve(rows, ncols, rhs)
 
     monkeypatch.setattr(intlinalg, "sparse_solve", record)
-    for p in range(5, 13):
-        pair = build_lens(p)
-        nu_verdict(nu_of_pair(pair, verify_pd(pair).fundamental_class))
-    for p in range(2, 10):
-        pair = build_lens(p)
-        realize_free_case(export_realization_input(pair, verify_pd(pair)))
+    run()
     monkeypatch.undo()
     return systems
+
+
+def _nu_of_lens(p):
+    from pdpairs.catalog import build_lens
+    from pdpairs.invariants import nu_of_pair, nu_verdict
+    from pdpairs.pairs import verify_pd
+    pair = build_lens(p)
+    nu_verdict(nu_of_pair(pair, verify_pd(pair).fundamental_class))
+
+
+def _lens_systems(monkeypatch):
+    """Every sparse system that computing nu of L(5..12,1), L(30,1) and
+    L(39,1) (the ends of the benchmark's verify-lens band) and realizing
+    L(2..9,1) compiles; the realizations include each diagonal system."""
+    from pdpairs.catalog import build_lens
+    from pdpairs.pairs import verify_pd
+    from pdpairs.sums import export_realization_input, realize_free_case
+
+    def run():
+        for p in [*range(5, 13), 30, 39]:
+            _nu_of_lens(p)
+        for p in range(2, 10):
+            pair = build_lens(p)
+            realize_free_case(export_realization_input(pair, verify_pd(pair)))
+
+    return _recorded_systems(monkeypatch, run)
 
 
 def test_sparse_solve_lazy_keys_match_eager_reference(monkeypatch):
     rng = random.Random("sparse-solve-lazy-keys")
     systems = [_lazy_key_system(rng) for _ in range(400)]
     lens = _lens_systems(monkeypatch)
-    # the diagonal system of L(p,1) is 3p^2 x 2p^2
-    assert (3 * 9 * 9, 2 * 9 * 9) in [(len(r), n) for r, n, _ in lens]
+    # the diagonal system of L(p,1) is 3p^2 x 2p^2, nu's is 5p x 6p
+    shapes = [(len(r), n) for r, n, _ in lens]
+    assert {(3 * 9 * 9, 2 * 9 * 9), (150, 180), (195, 234)} <= set(shapes)
     outcomes = []
     for rows, ncols, rhs in systems + lens:
         x = sparse_solve(rows, ncols, rhs)
         assert x == sparse_solve_reference(rows, ncols, rhs)
         outcomes.append(x is not None)
     assert True in outcomes and False in outcomes
+
+
+def _nu_system_of_l30(monkeypatch):
+    """nu of L(30,1) compiles one 150 x 180 system; its 7,200 entries are
+    all units (the relations are the norm element), most of its rows die
+    empty, and unit pivots leave a residual core of 2 rows."""
+    (system,) = _recorded_systems(monkeypatch, lambda: _nu_of_lens(30))
+    rows, ncols, _ = system
+    assert (len(rows), ncols, sum(map(len, rows))) == (150, 180, 7200)
+    assert all(v in (1, -1) for row in rows for v in row.values())
+    return system
+
+
+def test_sparse_solve_queues_one_key_per_row_until_it_fails(monkeypatch):
+    rows, ncols, rhs = _nu_system_of_l30(monkeypatch)
+    nnz = sum(map(len, rows))
+    pops = 0
+    real_pop = heapq.heappop
+
+    def pop(heap):
+        nonlocal pops
+        pops += 1
+        return real_pop(heap)
+
+    monkeypatch.setattr(heapq, "heappop", pop)
+    x = sparse_solve(rows, ncols, rhs)
+    monkeypatch.undo()
+    assert x is not None and x == sparse_solve_reference(rows, ncols, rhs)
+    # a key per unit would pop every key of every dead row
+    assert pops < nnz // 4
+
+
+def test_sparse_solve_core_replays_the_logs_and_builds_no_u_or_v(
+        monkeypatch):
+    rows, ncols, rhs = _nu_system_of_l30(monkeypatch)
+    results = []
+    real_snf = intlinalg.snf
+
+    def spy(A):
+        results.append(real_snf(A))
+        return results[-1]
+
+    monkeypatch.setattr(intlinalg, "snf", spy)
+    x = sparse_solve(rows, ncols, rhs)
+    monkeypatch.undo()
+    assert x == sparse_solve_reference(rows, ncols, rhs)
+    assert [res.shape[0] for res in results] == [2]
+    for res in results:
+        assert "U" not in vars(res) and "V" not in vars(res)
 
 
 def _random_snf_input(rng, kind):

@@ -447,17 +447,17 @@ SUM_ENTRIES = {"handlebody-genus-2", "interior-sum-d3-d3",
 def test_catalog_builders_run_no_search(monkeypatch):
     from pdpairs import catalog, intlinalg, pairs
     calls = []
-    real_init = intlinalg.LinearSolver.__init__
+    real_snf = intlinalg.snf
 
-    def init(self, *args, **kwargs):
-        calls.append("LinearSolver")
-        real_init(self, *args, **kwargs)
+    def smith_form(a):  # a LinearSolver or a sparse_solve core
+        calls.append("snf")
+        return real_snf(a)
 
     def solve(*args, **kwargs):
         calls.append("solve_diagonal_cell")
         return solve_diagonal_cell(*args, **kwargs)
 
-    monkeypatch.setattr(intlinalg.LinearSolver, "__init__", init)
+    monkeypatch.setattr(intlinalg, "snf", smith_form)
     monkeypatch.setattr(pairs, "solve_diagonal_cell", solve)
     entries = catalog.catalog_entries()
     assert SUM_ENTRIES <= {e.name for e in entries}
@@ -465,6 +465,9 @@ def test_catalog_builders_run_no_search(monkeypatch):
         if entry.name not in SUM_ENTRIES:
             entry.builder()
             assert calls == [], entry.name
+    # the spy sees a residual core: 2 x = 4 has no unit pivot
+    assert intlinalg.sparse_solve([{0: 2}], 1, [4]) == [2]
+    assert calls == ["snf"]
 
 
 def _collared_with_shell(edit):
@@ -517,18 +520,18 @@ def test_solve_diagonal_cell_solves_on_the_sparse_engine(monkeypatch):
              _collared_e1_call(), lens_call]
     built = {"column": 0, "systems": [], "cores": [], "depth": 0}
     column_init = chains.LambdaColumnSolver.__init__
-    integer_init = intlinalg.LinearSolver.__init__
+    real_snf = intlinalg.snf
     real_sparse = intlinalg.sparse_solve
 
     def count_column(self, *args, **kwargs):
         built["column"] += 1
         column_init(self, *args, **kwargs)
 
-    def count_integer(self, a):
-        # a Smith form built outside sparse_solve would be a dense solve
+    def count_integer(a):
+        # a Smith form taken outside sparse_solve would be a dense solve
         assert built["depth"] == 1
         built["cores"].append(a.rows * a.cols)
-        integer_init(self, a)
+        return real_snf(a)
 
     def sparse(rows, ncols, rhs):
         built["systems"].append((len(rows), ncols))
@@ -539,7 +542,7 @@ def test_solve_diagonal_cell_solves_on_the_sparse_engine(monkeypatch):
             built["depth"] -= 1
 
     monkeypatch.setattr(chains.LambdaColumnSolver, "__init__", count_column)
-    monkeypatch.setattr(intlinalg.LinearSolver, "__init__", count_integer)
+    monkeypatch.setattr(intlinalg, "snf", count_integer)
     monkeypatch.setattr(intlinalg, "sparse_solve", sparse)
     for complex_, diagonal, cell, kwargs in calls:
         built.update(column=0, systems=[], cores=[])
@@ -552,6 +555,9 @@ def test_solve_diagonal_cell_solves_on_the_sparse_engine(monkeypatch):
     # residual core of its 588 x 392 integer system
     assert built["systems"] == [(588, 392)]
     assert built["cores"] == []
+    # the spy sees a residual core: 2 x = 4 has no unit pivot
+    assert intlinalg.sparse_solve([{0: 2}], 1, [4]) == [2]
+    assert built["cores"] == [1]
 
 
 def test_algebraic_sum_two_of_three_on_interior_model():
