@@ -25,6 +25,7 @@ its input, so a homology question can be asked of the smaller complex.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from .groups import GroupModel, RingElem
@@ -289,15 +290,51 @@ class LambdaColumnSolver:
                 for v in self.solver.kernel_basis()]
 
 
+_CENTRAL_COSETS = weakref.WeakKeyDictionary()  # model -> _central_cosets
+
+
+def _central_cosets(model: GroupModel):
+    """u -> (c, c^-1 u) for each element u of a finite model, c the least
+    element of u Z(G) under sort_key, computed once per model.
+
+    The pairs (u, w) and (u z, z^-1 w) act alike, g -> u g w, exactly when
+    z is central, so (c, c^-1 u w) names the action of (u, w): equal
+    actions get equal names.  Over an abelian group it is (1, u w).
+    """
+    cosets = _CENTRAL_COSETS.get(model)
+    if cosets is None:
+        mul = model.mul
+        elems = model.ball(0)
+        centre = [z for z in elems
+                  if all(mul(z, g) == mul(g, z) for g in elems)]
+        cosets = {}
+        for u in elems:
+            c = min((mul(u, z) for z in centre), key=model.sort_key)
+            cosets[u] = (c, mul(model.inv(c), u))
+        _CENTRAL_COSETS[model] = cosets
+    return cosets
+
+
 class LambdaLinearSystem:
     """General linear constraints over Lambda in several matrix unknowns.
 
     Constraints have the form  sum_t  c_t * (P_t . X_{v_t} . Q_t) = RHS,
     with module composition throughout.  The system is stated once, with
     no radius; solve(radius) supports the unknown entries on
-    model.ball(radius) (the whole group for finite models, where the answer
-    is exact) and compiles one integer linear system.  The same system can
-    be solved at several radii, as bounded_search does.
+    model.ball(radius).  The same system can be solved at several radii,
+    as bounded_search does.
+
+    Entry (r, s) of a constraint is one equation over Lambda,
+    sum_X sum_(u, w) c . u X w = b, X running over the unknown entries, and
+    its linearization sends X's coefficient at g to row (equation, u g w).
+    Over a finite model the ball is the whole group and the answer exact:
+    solve first eliminates, over Lambda, every unknown that some equation
+    holds with a single two-sided unit +-u X w (the elimination lemma of
+    eliminate_units, applied to a linear system), linearizes only the
+    equations left for sparse_solve, and recovers the eliminated unknowns
+    by back-substitution.  Over an infinite model the unknowns are confined
+    to the ball, which substitution would not respect, so the system is
+    linearized as stated.
     """
 
     def __init__(self, model: GroupModel):
@@ -333,24 +370,62 @@ class LambdaLinearSystem:
             raise ChainError("rhs shape mismatch")
         self.constraints.append((terms, rhs))
 
-    def _var_offset(self, ns):
-        offsets = {}
-        total = 0
-        for name in self.var_order:
-            rows, cols = self.vars[name]
-            offsets[name] = total
-            total += rows * cols * ns
-        return offsets, total
+    def _statement(self):
+        """The equations over Lambda, one part per constraint, and the
+        number of unknown entries.
 
-    def _compile(self, support, offsets):
-        """The integer system on support: one dict col -> value per
-        equation, and the right-hand side.  Kept apart from solve so that
-        the row index, which only the build needs, is freed before the
-        elimination starts."""
+        Unknown k is entry (p, q) of a variable, numbered in var_order,
+        then p, then q.  A part is (cid, values, blocks) for constraint
+        cid, whose entry (r, s) is the equation (cid, r, s).  values lists
+        (r, s, {h: coefficient}), the right-hand side.  blocks lists
+        (k, coeff, column, row), one per term and entry (p, q) of its
+        variable: column lists (rr, w, cw) over P's column p and row
+        (ss, u, cu) over Q's row q, so the term holds coeff.cu.cw . u X_k w
+        in equation (cid, rr, ss).  The order is the linearization's row
+        order.
+        """
+        one = self.model.identity()
+        first = {}
+        n = 0
+        for name in self.var_order:
+            vr, vc = self.vars[name]
+            first[name] = n
+            n += vr * vc
+        parts = []
+        for cid, (terms, rhs) in enumerate(self.constraints):
+            values = [(r, s, rhs.data[r][s].support)
+                      for r in range(rhs.rows) for s in range(rhs.cols)]
+            blocks = []
+            for coeff, P, vname, Q in terms:
+                vr, vc = self.vars[vname]
+                for p in range(vr):
+                    if P is None:
+                        column = [(p, one, 1)]
+                    else:
+                        column = [(rr, w, cw) for rr in range(P.rows)
+                                  for w, cw in P.data[rr][p].support.items()]
+                    for q in range(vc):
+                        if Q is None:
+                            row = [(q, one, 1)]
+                        else:
+                            row = [(ss, u, cu) for ss in range(Q.cols)
+                                   for u, cu in Q.data[q][ss].support.items()]
+                        if column and row:
+                            blocks.append((first[vname] + p * vc + q, coeff,
+                                           column, row))
+            parts.append((cid, values, blocks))
+        return parts, n
+
+    def _linearize(self, parts, support, unknowns):
+        """The integer system of parts on support: one dict column -> value
+        per equation (cid, r, s, h), in order of first appearance, and the
+        right-hand side.  unknowns lists the unknowns given columns, in
+        column order, len(support) columns apiece."""
         model = self.model
         ns = len(support)
+        start = {k: i * ns for i, k in enumerate(unknowns)}
         row_index = {}
-        row_dicts = []  # one dict col -> value per integer equation
+        row_dicts = []
         rhs_vals = []
 
         def row_of(cid, r, s, h):
@@ -363,68 +438,202 @@ class LambdaLinearSystem:
                 rhs_vals.append(0)
             return idx
 
-        for cid, (terms, rhs) in enumerate(self.constraints):
-            shape_r = rhs.rows
-            shape_s = rhs.cols
-            for r in range(shape_r):
-                for s in range(shape_s):
-                    target = rhs.data[r][s]
-                    for h, c in target.support.items():
-                        rhs_vals[row_of(cid, r, s, h)] = c
-            for coeff, P, vname, Q in terms:
-                vr, vc = self.vars[vname]
-                base = offsets[vname]
-                for p in range(vr):
-                    for q in range(vc):
-                        if P is None:
-                            # output row equals p
-                            pr_list = [(p, model.identity(), 1)]
-                        else:
-                            pr_list = [(rr, w, cw)
-                                       for rr in range(P.rows)
-                                       for w, cw in P.data[rr][p].support.items()]
-                        if Q is None:
-                            qs_list = [(q, model.identity(), 1)]
-                        else:
-                            qs_list = [(ss, u, cu)
-                                       for ss in range(Q.cols)
-                                       for u, cu in Q.data[q][ss].support.items()]
-                        if not pr_list or not qs_list:
-                            continue
-                        for gi, g in enumerate(support):
-                            col = base + (p * vc + q) * ns + gi
-                            for rr, w, cw in pr_list:
-                                for ss, u, cu in qs_list:
-                                    h = model.mul(model.mul(u, g), w)
-                                    row = row_dicts[row_of(cid, rr, ss, h)]
-                                    nv = row.get(col, 0) + coeff * cu * cw
-                                    if nv:
-                                        row[col] = nv
-                                    else:
-                                        row.pop(col, None)
+        for cid, values, blocks in parts:
+            for r, s, b in values:
+                for h, c in b.items():
+                    rhs_vals[row_of(cid, r, s, h)] = c
+            for k, coeff, column, row in blocks:
+                base = start[k]
+                for gi, g in enumerate(support):
+                    col = base + gi
+                    for rr, w, cw in column:
+                        for ss, u, cu in row:
+                            h = model.mul(model.mul(u, g), w)
+                            eq = row_dicts[row_of(cid, rr, ss, h)]
+                            nv = eq.get(col, 0) + coeff * cu * cw
+                            if nv:
+                                eq[col] = nv
+                            else:
+                                eq.pop(col, None)
         return row_dicts, rhs_vals
+
+    def _eliminate(self, parts):
+        """Eliminate, over Lambda, each unknown X that some equation holds
+        with a single two-sided unit coefficient +-u X w.
+
+        The pivot is the (equation, X) of least Markowitz cost (unknowns in
+        the equation - 1) * (equations holding X - 1), ties to the lower
+        equation, then the lower unknown.  X = sign . u^-1 (b - rest) w^-1
+        is substituted into every other equation holding X.  Returns
+        (residual, log), the residual in _statement's form and log the
+        pivots in order as (X, u, w, sign, rest, b); with no pivot the
+        residual is parts itself.  None when an equation is left with no
+        unknowns and a nonzero right-hand side: the system has no solution.
+        Terms are keyed by their action (_central_cosets), so fill that
+        acts alike is merged.
+        """
+        model = self.model
+        mul, inv = model.mul, model.inv
+        cosets = _central_cosets(model)
+
+        def canon(u, w):
+            c, z = cosets[u]
+            return c, mul(z, w)
+
+        eqs = {}  # equation -> {X: {(u, w): coefficient}}, nonzero only
+        rhs = {}  # equation -> {h: coefficient}
+        for cid, values, blocks in parts:
+            for r, s, b in values:
+                if b:
+                    rhs[cid, r, s] = dict(b)
+            for k, coeff, column, row in blocks:
+                for rr, w, cw in column:
+                    for ss, u, cu in row:
+                        coeffs = eqs.setdefault((cid, rr, ss), {}) \
+                            .setdefault(k, {})
+                        key = canon(u, w)
+                        coeffs[key] = coeffs.get(key, 0) + coeff * cu * cw
+        holders = {}  # X -> the equations holding X
+        for e in list(eqs):
+            row = eqs[e]
+            for k in list(row):
+                row[k] = {key: c for key, c in row[k].items() if c}
+                if row[k]:
+                    holders.setdefault(k, set()).add(e)
+                else:
+                    del row[k]
+            if not row:
+                del eqs[e]
+        if any(e not in eqs for e in rhs):
+            return None
+
+        log = []
+        while True:
+            best = None
+            for e, row in eqs.items():
+                lr = len(row) - 1
+                for k, coeffs in row.items():
+                    if len(coeffs) == 1:
+                        (c,) = coeffs.values()
+                        if c == 1 or c == -1:
+                            key = (lr * (len(holders[k]) - 1), e, k)
+                            if best is None or key < best:
+                                best = key
+            if best is None:
+                break
+            _, e, x = best
+            rest = eqs.pop(e)
+            (u, w), sign = rest.pop(x).popitem()
+            b = rhs.pop(e, {})
+            for y in rest:
+                holders[y].discard(e)
+            holders[x].discard(e)
+            uinv, winv = inv(u), inv(w)
+            for f in sorted(holders.pop(x)):
+                row = eqs[f]
+                fb = rhs.setdefault(f, {})
+                for (u2, w2), d in row.pop(x).items():
+                    # d u2 X w2 = d sign L (b - rest) R
+                    left, right = mul(u2, uinv), mul(winv, w2)
+                    ds = d * sign
+                    for y, coeffs in rest.items():
+                        target = row.setdefault(y, {})
+                        for (a, a2), c in coeffs.items():
+                            key = canon(mul(left, a), mul(a2, right))
+                            nv = target.get(key, 0) - ds * c
+                            if nv:
+                                target[key] = nv
+                            else:
+                                del target[key]
+                    for h, c in b.items():
+                        h = mul(mul(left, h), right)
+                        nv = fb.get(h, 0) - ds * c
+                        if nv:
+                            fb[h] = nv
+                        else:
+                            del fb[h]
+                for y in rest:
+                    if row[y]:
+                        holders[y].add(f)
+                    else:
+                        del row[y]
+                        holders[y].discard(f)
+                if not fb:
+                    del rhs[f]
+                if not row:
+                    if fb:
+                        return None
+                    del eqs[f]
+            log.append((x, u, w, sign, rest, b))
+        if not log:
+            return parts, log
+        residual = {}
+        for (cid, r, s), b in sorted(rhs.items()):
+            residual.setdefault(cid, ([], []))[0].append((r, s, b))
+        for k, es in sorted(holders.items()):
+            for cid, r, s in sorted(es):
+                # one block per left factor: over an abelian group, one
+                columns = {}
+                for (u, w), c in eqs[cid, r, s][k].items():
+                    columns.setdefault(u, []).append((r, w, c))
+                residual.setdefault(cid, ([], []))[1].extend(
+                    (k, 1, column, [(s, u, 1)])
+                    for u, column in columns.items())
+        return [(cid, *part) for cid, part in sorted(residual.items())], log
+
+    def _integer_system(self, support):
+        """What sparse_solve gets on support, (rows, rhs, kept, log): kept
+        lists the unknowns given columns, log the Lambda-level pivots; None
+        when elimination already shows there is no solution.  Kept apart
+        from solve so that the statement and the row index, which only the
+        build needs, are freed before sparse_solve starts."""
+        parts, n = self._statement()
+        log = []
+        if self.model.is_finite():
+            reduced = self._eliminate(parts)
+            if reduced is None:
+                return None
+            parts, log = reduced
+        gone = {entry[0] for entry in log}
+        kept = [k for k in range(n) if k not in gone]
+        return (*self._linearize(parts, support, kept), kept, log)
 
     def solve(self, radius: int = 4):
         """A solution with entries supported on model.ball(radius), as a
         dict variable name -> LambdaMatrix, or None when there is none."""
         from .intlinalg import sparse_solve
         model = self.model
+        mul, inv = model.mul, model.inv
         support = model.ball(radius)
         ns = len(support)
-        offsets, ncols = self._var_offset(ns)
-        row_dicts, rhs_vals = self._compile(support, offsets)
-        x = sparse_solve(row_dicts, ncols, rhs_vals)
+        system = self._integer_system(support)
+        if system is None:
+            return None
+        rows, rhs, kept, log = system
+        x = sparse_solve(rows, len(kept) * ns, rhs)
         if x is None:
             return None
+        values = {k: {g: c for g, c in zip(support, x[i * ns:(i + 1) * ns])
+                      if c}
+                  for i, k in enumerate(kept)}
+        for k, u, w, sign, rest, b in reversed(log):
+            acc = dict(b)
+            for y, coeffs in rest.items():
+                for (a, a2), c in coeffs.items():
+                    for g, v in values[y].items():
+                        h = mul(mul(a, g), a2)
+                        acc[h] = acc.get(h, 0) - c * v
+            uinv, winv = inv(u), inv(w)
+            values[k] = {mul(mul(uinv, h), winv): sign * v
+                         for h, v in acc.items() if v}
         out = {}
+        k = 0
         for name in self.var_order:
             vr, vc = self.vars[name]
-            base = offsets[name]
             out[name] = LambdaMatrix(model, vr, vc, [
-                int_vec_to_ring(model, support,
-                                x[base + p * vc * ns:base + (p + 1) * vc * ns],
-                                vc)
+                [RingElem(model, values[k + p * vc + q]) for q in range(vc)]
                 for p in range(vr)])
+            k += vr * vc
         return out
 
 

@@ -10,6 +10,7 @@ PD3_SEARCH_RADIUS environment variable, else 4.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -79,8 +80,10 @@ def _single_pair(scenario, path):
 
 def cmd_homology(args):
     scenario = _load(args.file)
-    radius = search_radius(args)
-    del radius
+    if not scenario.pairs and not scenario.complexes:
+        print(f"{args.file}: no pair or complex in scenario", file=sys.stderr)
+        raise SystemExit(EXIT_INPUT)
+    search_radius(args)  # rejects a bad PD3_SEARCH_RADIUS
     out = {}
     for name, pair in sorted(scenario.pairs.items()):
         tables = {"total": rpt.homology_table(pair.P.tensor_Zomega())}
@@ -328,9 +331,16 @@ def build_parser():
     return ap
 
 
+@functools.cache
+def _parser():
+    """The one parser main uses, built on first use: every value it reads
+    from outside argv (PD3_SEARCH_RADIUS) is read per call."""
+    return build_parser()
+
+
 def main(argv=None):
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.fn(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT

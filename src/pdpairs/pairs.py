@@ -315,9 +315,13 @@ def solve_diagonal_cell(complex_: LambdaComplex, diagonal: dict, cell,
     are the unknowns of one Lambda-matrix M: a column per basis triple
     ((p, i), k, (d - p, j)) with k in the ball, holding the boundary of that
     triple, and a row per triple those boundaries reach.  Each end choice
-    is one LambdaLinearSystem M x = deficit on the same ball, solved by the
-    sparse engine: unit pivots in Markowitz order, then a Smith form of the
-    small residual core only.  Returns a validated LambdaTensor or None.
+    is one LambdaLinearSystem M x = deficit on the same ball.  Over a
+    finite group its solve first eliminates, over Lambda, the middle terms
+    whose coefficient in some row is a single unit +-g (for L(p,1) 2p - 2
+    of 2p, leaving a p^2 x 2p integer system of the 3p^2 x 2p^2), then the
+    sparse engine takes unit pivots in Markowitz order and a Smith form of
+    the small residual core only.  Returns a validated LambdaTensor or
+    None.
     end_vertices pins (v0, v1), which keeps the end terms of several top
     cells coherent.
     """

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pdpairs.chains import (
     ChainError,
@@ -612,3 +613,175 @@ def test_eliminate_units_drops_the_pivot_cells_everywhere():
         2: LambdaMatrix.from_int_rows(triv, [[1], [1]])})
     reduced = eliminate_units(c)
     assert reduced.ranks == {0: 1} and not reduced.boundary
+
+
+# ---------------------------------------------------------------------------
+# LambdaLinearSystem over finite groups: Lambda-level unit elimination
+
+
+ELIMINATION_GROUPS = {
+    "1": TrivialGroup(),
+    "C2": FiniteTable.cyclic(2, "g"),
+    "C3": FiniteTable.cyclic(3, "g"),
+    "C4": FiniteTable.cyclic(4, "g"),
+    "S3": FiniteTable.symmetric3(),
+}
+
+
+def _random_coefficient(model, rng):
+    """Zero, a unit +-g, or a combination of a few group elements."""
+    elems = model.ball(0)
+    roll = rng.random()
+    if roll < 0.2:
+        return model.zero()
+    if roll < 0.65:
+        return model.unit(rng.choice(elems), rng.choice([1, -1]))
+    out = model.zero()
+    for _ in range(rng.randint(2, 3)):
+        out = out + model.unit(rng.choice(elems), rng.choice([1, -1, 2, -3]))
+    return out
+
+
+def _random_matrix(model, rng, rows, cols):
+    return LambdaMatrix(model, rows, cols, [
+        [_random_coefficient(model, rng) for _ in range(cols)]
+        for _ in range(rows)])
+
+
+def _term_value(model, P, x, Q):
+    """P . x . Q in module composition, None standing for an identity."""
+    if P is not None:
+        x = compose(P, x)
+    return x if Q is None else compose(x, Q)
+
+
+def _random_lambda_system(model, rng):
+    """A system with a planted solution: unit, multi-term and zero
+    coefficients, P and Q factors on either side, terms that cancel, and
+    sometimes a perturbed right-hand side."""
+    system = LambdaLinearSystem(model)
+    planted = {}
+    for i in range(rng.randint(1, 3)):
+        shape = (rng.randint(1, 2), rng.randint(1, 2))
+        system.add_var(f"x{i}", *shape)
+        planted[f"x{i}"] = _random_matrix(model, rng, *shape)
+    for _ in range(rng.randint(1, 4)):
+        r, s = rng.randint(1, 2), rng.randint(1, 2)
+        terms = []
+        for _ in range(rng.randint(1, 3)):
+            name = rng.choice(sorted(planted))
+            vr, vc = system.vars[name]
+            P = None if vr == r and rng.random() < 0.6 else \
+                _random_matrix(model, rng, r, vr)
+            Q = None if vc == s and rng.random() < 0.6 else \
+                _random_matrix(model, rng, vc, s)
+            terms.append((rng.choice([1, -1, 2]), P, name, Q))
+            if rng.random() < 0.1:
+                terms.append((-terms[-1][0], P, name, Q))
+        rhs = LambdaMatrix.zero(model, r, s)
+        for c, P, name, Q in terms:
+            rhs = rhs + _term_value(model, P, planted[name], Q).scale(c)
+        if rng.random() < 0.25:
+            i, j = rng.randrange(r), rng.randrange(s)
+            rhs.data[i][j] = rhs.data[i][j] + model.unit(
+                rng.choice(model.ball(0)))
+        system.add_constraint(terms, rhs)
+    return system
+
+
+def _full_system(system):
+    """The system's integer equations on the whole group, un-eliminated."""
+    support = system.model.ball(0)
+    parts, n = system._statement()
+    rows, rhs = system._linearize(parts, support, range(n))
+    return rows, n * len(support), rhs
+
+
+def _check_elimination(system):
+    """solve agrees with an exact solve of the full system.  Returns the
+    solution and the number of unknowns eliminated over Lambda, None when
+    elimination alone refutes the system."""
+    from oracles import sparse_solve_reference
+    model = system.model
+    rows, ncols, rhs = _full_system(system)
+    sol = system.solve()
+    assert (sol is None) == \
+        (sparse_solve_reference(rows, ncols, rhs) is None)
+    if sol is not None:
+        x = [sol[name].data[p][q].support.get(g, 0)
+             for name in system.var_order
+             for p in range(system.vars[name][0])
+             for q in range(system.vars[name][1])
+             for g in model.ball(0)]
+        for row, b in zip(rows, rhs):
+            assert sum(v * x[c] for c, v in row.items()) == b
+        for terms, want in system.constraints:
+            got = LambdaMatrix.zero(model, want.rows, want.cols)
+            for c, P, name, Q in terms:
+                got = got + _term_value(model, P, sol[name], Q).scale(c)
+            assert got == want
+    reduced = system._eliminate(system._statement()[0])
+    return sol, None if reduced is None else len(reduced[1])
+
+
+@given(group=st.sampled_from(sorted(ELIMINATION_GROUPS)),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_lambda_elimination_solves_the_full_system(group, seed):
+    _check_elimination(_random_lambda_system(ELIMINATION_GROUPS[group],
+                                             random.Random(seed)))
+
+
+def test_lambda_elimination_generator_covers_pivots_and_failures():
+    # the random systems pivot, and are solved, refuted by elimination
+    # alone and refuted by sparse_solve on the residual
+    rng = random.Random("lambda-elimination")
+    pivoted = 0
+    outcomes = set()
+    for group in sorted(ELIMINATION_GROUPS):
+        for _ in range(60):
+            sol, eliminated = _check_elimination(
+                _random_lambda_system(ELIMINATION_GROUPS[group], rng))
+            pivoted += bool(eliminated)
+            outcomes.add("solved" if sol is not None else
+                         "by elimination" if eliminated is None else
+                         "by sparse_solve")
+    assert pivoted > 100
+    assert outcomes == {"solved", "by elimination", "by sparse_solve"}
+
+
+def test_action_keys_merge_exactly_the_pairs_that_act_alike():
+    from pdpairs.chains import _central_cosets
+    for model in ELIMINATION_GROUPS.values():
+        elems = model.ball(0)
+        cosets = _central_cosets(model)
+        keys = {}
+        for u in elems:
+            for w in elems:
+                c, z = cosets[u]
+                action = tuple(model.mul(model.mul(u, g), w) for g in elems)
+                keys.setdefault((c, model.mul(z, w)), set()).add(action)
+        # one action per key, and as many keys as actions
+        assert all(len(actions) == 1 for actions in keys.values())
+        assert len({a for s in keys.values() for a in s}) == len(keys)
+    c4 = ELIMINATION_GROUPS["C4"]
+    assert all(_central_cosets(c4)[u] == (0, u) for u in range(4))
+    # S3 has a trivial centre: no two of its 36 pairs merge
+    s3 = ELIMINATION_GROUPS["S3"]
+    assert all(_central_cosets(s3)[u] == (u, 0) for u in range(6))
+
+
+def test_lambda_elimination_merges_terms_that_act_alike():
+    # 2 g.X - X.g: over C4 both terms act as X -> g X, so X's coefficient
+    # is the unit g and X is eliminated; over S3, g = r is not central,
+    # the two terms stay apart and nothing is eliminated
+    for group, pivots in (("C4", 1), ("S3", 0)):
+        model = ELIMINATION_GROUPS[group]
+        g = LambdaMatrix.from_rows(model, [[model.unit(1)]])
+        system = LambdaLinearSystem(model)
+        system.add_var("x", 1, 1)
+        rhs = LambdaMatrix.from_rows(model, [[model.unit(2)]])
+        system.add_constraint([(2, None, "x", g), (-1, g, "x", None)], rhs)
+        _, log = system._eliminate(system._statement()[0])
+        assert len(log) == pivots
+        _check_elimination(system)

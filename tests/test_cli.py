@@ -169,6 +169,62 @@ def test_bad_radius_after_the_subcommand_exit_three(capsys):
     assert "search radius must be a positive integer, not '0'" in err
 
 
+def test_homology_of_an_empty_scenario_exit_three(tmp_path, capsys):
+    path = tmp_path / "empty.pdp"
+    path.write_text("")
+    assert main(["homology", str(path), "--json"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"{path}: no pair or complex in scenario\n"
+
+
+def _verify_radii(monkeypatch):
+    """The radius of each verify_pd call cli.main makes, recorded."""
+    import pdpairs.cli as cli
+    radii = []
+    real = cli.verify_pd
+
+    def spy(pair, radius=4):
+        radii.append(radius)
+        return real(pair, radius)
+
+    monkeypatch.setattr(cli, "verify_pd", spy)
+    return radii
+
+
+def _no_rebuild(monkeypatch):
+    import pdpairs.cli as cli
+    cli._parser()
+
+    def rebuild():
+        raise AssertionError("main built a second parser")
+
+    monkeypatch.setattr(cli, "build_parser", rebuild)
+
+
+def test_main_reads_the_radius_environment_on_every_call(monkeypatch,
+                                                         capsys):
+    _no_rebuild(monkeypatch)
+    radii = _verify_radii(monkeypatch)
+    monkeypatch.setenv("PD3_SEARCH_RADIUS", "junk")
+    assert main(["verify", fx("d3.pdp")]) == 3
+    monkeypatch.delenv("PD3_SEARCH_RADIUS")
+    assert main(["verify", fx("d3.pdp")]) == 0
+    assert radii == [4]
+
+
+def test_main_radius_after_the_subcommand_does_not_leak(monkeypatch,
+                                                        capsys):
+    _no_rebuild(monkeypatch)
+    monkeypatch.delenv("PD3_SEARCH_RADIUS", raising=False)
+    radii = _verify_radii(monkeypatch)
+    assert main(["verify", fx("d3.pdp"), "--radius", "2"]) == 0
+    assert main(["verify", fx("d3.pdp")]) == 0
+    assert main(["--radius", "3", "verify", fx("d3.pdp")]) == 0
+    assert main(["verify", fx("d3.pdp")]) == 0
+    assert radii == [2, 4, 3, 4]
+
+
 def test_help_exit_zero(capsys):
     assert main(["--help"]) == 0
     assert main(["verify", "--help"]) == 0

@@ -347,17 +347,40 @@ def _lazy_key_system(rng):
 
 
 def _recorded_systems(monkeypatch, run):
-    """Every sparse system that run() hands to sparse_solve."""
+    """The full integer system of every LambdaLinearSystem that run()
+    solves: its equations linearized on the whole support, as stated.
+    sparse_solve itself only gets what Lambda-level elimination leaves."""
+    from pdpairs.chains import LambdaLinearSystem
     systems = []
+    real = LambdaLinearSystem.solve
+
+    def record(self, radius=4):
+        support = self.model.ball(radius)
+        parts, n = self._statement()
+        rows, rhs = self._linearize(parts, support, range(n))
+        systems.append((rows, n * len(support), rhs))
+        return real(self, radius)
+
+    monkeypatch.setattr(LambdaLinearSystem, "solve", record)
+    run()
+    monkeypatch.undo()
+    return systems
+
+
+def _sparse_shapes(monkeypatch, run):
+    """(rows, columns, nonzeros) of every system run() hands to
+    sparse_solve."""
+    shapes = []
+    real = intlinalg.sparse_solve
 
     def record(rows, ncols, rhs):
-        systems.append(([dict(r) for r in rows], ncols, list(rhs)))
-        return sparse_solve(rows, ncols, rhs)
+        shapes.append((len(rows), ncols, sum(map(len, rows))))
+        return real(rows, ncols, rhs)
 
     monkeypatch.setattr(intlinalg, "sparse_solve", record)
     run()
     monkeypatch.undo()
-    return systems
+    return shapes
 
 
 def _nu_of_lens(p):
@@ -368,20 +391,25 @@ def _nu_of_lens(p):
     nu_verdict(nu_of_pair(pair, verify_pd(pair).fundamental_class))
 
 
-def _lens_systems(monkeypatch):
-    """Every sparse system that computing nu of L(5..12,1), L(30,1) and
-    L(39,1) (the ends of the benchmark's verify-lens band) and realizing
-    L(2..9,1) compiles; the realizations include each diagonal system."""
+def _realize_lens(p):
     from pdpairs.catalog import build_lens
     from pdpairs.pairs import verify_pd
     from pdpairs.sums import export_realization_input, realize_free_case
+    pair = build_lens(p)
+    realize_free_case(export_realization_input(pair, verify_pd(pair)))
+
+
+def _lens_systems(monkeypatch):
+    """The full integer system of every Lambda-system that computing nu of
+    L(5..12,1), L(30,1) and L(39,1) (the ends of the benchmark's
+    verify-lens band) and realizing L(2..9,1) states; the realizations
+    include each diagonal system."""
 
     def run():
         for p in [*range(5, 13), 30, 39]:
             _nu_of_lens(p)
         for p in range(2, 10):
-            pair = build_lens(p)
-            realize_free_case(export_realization_input(pair, verify_pd(pair)))
+            _realize_lens(p)
 
     return _recorded_systems(monkeypatch, run)
 
@@ -402,9 +430,9 @@ def test_sparse_solve_lazy_keys_match_eager_reference(monkeypatch):
 
 
 def _nu_system_of_l30(monkeypatch):
-    """nu of L(30,1) compiles one 150 x 180 system; its 7,200 entries are
-    all units (the relations are the norm element), most of its rows die
-    empty, and unit pivots leave a residual core of 2 rows."""
+    """nu of L(30,1) states one 150 x 180 integer system; its 7,200 entries
+    are all units (the relations are the norm element), most of its rows
+    die empty, and unit pivots leave a residual core of 2 rows."""
     (system,) = _recorded_systems(monkeypatch, lambda: _nu_of_lens(30))
     rows, ncols, _ = system
     assert (len(rows), ncols, sum(map(len, rows))) == (150, 180, 7200)
@@ -448,6 +476,18 @@ def test_sparse_solve_core_replays_the_logs_and_builds_no_u_or_v(
     assert [res.shape[0] for res in results] == [2]
     for res in results:
         assert "U" not in vars(res) and "V" not in vars(res)
+
+
+def test_lambda_elimination_hands_sparse_solve_a_residual(monkeypatch):
+    # Lambda-level unit elimination leaves p^2 x 2p of the L(p,1)
+    # diagonal's 3p^2 x 2p^2 integer system and 3p x 4p of nu's 5p x 6p
+    assert _sparse_shapes(monkeypatch, lambda: _nu_of_lens(30)) == \
+        [(90, 120, 5400)]
+    for p in (9, 14):
+        shapes = [(m, n) for m, n, _ in
+                  _sparse_shapes(monkeypatch, lambda: _realize_lens(p))]
+        assert (p * p, 2 * p) in shapes
+        assert (3 * p * p, 2 * p * p) not in shapes
 
 
 def _random_snf_input(rng, kind):

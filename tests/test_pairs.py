@@ -1,5 +1,6 @@
 """The duality engine: diagonals, slant, cap, ladder, verdicts, sums."""
 
+import hashlib
 import random
 
 import pytest
@@ -313,6 +314,53 @@ def test_ladder_sign_table_stable():
     assert t1 == t2
 
 
+def _ladder_operand(name):
+    from pdpairs.sums import SumRecipe, boundary_sum, interior_sum
+    if name == "st#st":
+        left, right = build_solid_torus_collared(), build_solid_torus_collared()
+        recipe = SumRecipe("interior", left, right, top_cells=("E2", "E2"))
+        glue = interior_sum
+    else:
+        left, right = build_solid_torus(), build_solid_torus()
+        recipe = SumRecipe("boundary", left, right,
+                           components=("torus", "torus"))
+        glue = boundary_sum
+    return glue(recipe, (verify_pd(left), verify_pd(right))).pair
+
+
+# (count, sha256) of the integer systems verify_ladder hands sparse_solve,
+# rows in order with their entries in order, then the right-hand side, as
+# recorded before solve eliminated over Lambda.  Over an infinite group it
+# eliminates nothing, so verify-sums' systems must stay these.
+LADDER_SYSTEMS = {
+    "st#st": (5, "985776e64a5c6f4e29e1ca0836df4c74"
+                 "2ad4a5c79771a348ad8ed38017ec636f"),
+    "handlebody-genus-2": (2, "ffc7781941de19da2c26738c7541748c"
+                              "19529af83e5619d5c2f09f266337a701"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LADDER_SYSTEMS))
+def test_infinite_group_ladder_systems_are_unchanged(monkeypatch, name):
+    import pdpairs.intlinalg as intlinalg
+    pair = _ladder_operand(name)
+    fundamental_class = verify_pd(pair).fundamental_class
+    systems = []
+    real = intlinalg.sparse_solve
+
+    def record(rows, ncols, rhs):
+        systems.append((ncols, [list(row.items()) for row in rows],
+                        list(rhs)))
+        return real(rows, ncols, rhs)
+
+    monkeypatch.setattr(intlinalg, "sparse_solve", record)
+    verify_ladder(pair, fundamental_class)
+    digest = hashlib.sha256()
+    for system in systems:
+        digest.update(repr(system).encode())
+    assert (len(systems), digest.hexdigest()) == LADDER_SYSTEMS[name]
+
+
 def test_cap_top_identity_exact_on_random_cocycles():
     rng = random.Random(9)
     for builder in (build_d3, build_solid_torus, lambda: build_lens(3),
@@ -551,9 +599,10 @@ def test_solve_diagonal_cell_solves_on_the_sparse_engine(monkeypatch):
         assert built["column"] == 0
         assert built["systems"]
         assert all(cells <= 588 * 392 // 100 for cells in built["cores"])
-    # the realized L(14,1) cell: one end choice, and unit pivots leave no
-    # residual core of its 588 x 392 integer system
-    assert built["systems"] == [(588, 392)]
+    # the realized L(14,1) cell: one end choice, whose 588 x 392 integer
+    # system Lambda-level elimination cuts to 196 x 28, and unit pivots
+    # leave no residual core of that
+    assert built["systems"] == [(196, 28)]
     assert built["cores"] == []
     # the spy sees a residual core: 2 x = 4 has no unit pivot
     assert intlinalg.sparse_solve([{0: 2}], 1, [4]) == [2]
