@@ -92,6 +92,12 @@ class LambdaMatrix:
     def columns(self):
         return [self.column(j) for j in range(self.cols)]
 
+    def submatrix(self, rows, cols):
+        """The entries at the given row and column indices, in that order."""
+        rows, cols = list(rows), list(cols)
+        return LambdaMatrix(self.model, len(rows), len(cols),
+                            [[self.data[r][c] for c in cols] for r in rows])
+
     def is_zero(self):
         return all(e.is_zero() for row in self.data for e in row)
 
@@ -784,6 +790,21 @@ class LambdaComplex:
                 total += (x * row).aug()
         return total
 
+    def restrict(self, cells, augmented: bool = False) -> "LambdaComplex":
+        """The complex on the kept cells (degree -> indices, ascending), with
+        their names and, if augmented, their augmentation; unchecked."""
+        boundary = {d: m.submatrix(cells.get(d - 1, ()), cells.get(d, ()))
+                    for d, m in self.boundary.items()}
+        names = {d: tuple(self.name_of(d, i) for i in idxs)
+                 for d, idxs in cells.items() if idxs}
+        aug = None
+        if augmented and self.augmentation is not None and cells.get(0):
+            aug = [self.augmentation[i] for i in cells[0]]
+        return LambdaComplex(self.model,
+                             {d: len(idxs) for d, idxs in cells.items()},
+                             boundary, augmentation=aug, basis_names=names,
+                             check=False)
+
     def hom_dual(self) -> "LambdaComplex":
         """Degree-negated complex of bar-conjugate transposes."""
         ranks = {-d: r for d, r in self.ranks.items()}
@@ -837,10 +858,6 @@ def _embedding_fn(source_model, target_model):
     if isinstance(target_model, FreeProduct):
         return target_model.factor_embedding(source_model)
     return None
-
-
-def induce_Lk(c: LambdaComplex, target_model) -> LambdaComplex:
-    return c.induce_to(target_model)
 
 
 def embed_ring(r: RingElem, target_model) -> RingElem:

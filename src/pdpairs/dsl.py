@@ -22,6 +22,7 @@ from .groups import (
     FreeAbelian,
     FreeGroup,
     FreeProduct,
+    GroupError,
     GroupModel,
     InfiniteCyclic,
     RingElem,
@@ -670,8 +671,11 @@ def _build_group(decl: GroupDecl, groups: dict) -> GroupModel:
     if decl.kind == "cyclic-infinite":
         return InfiniteCyclic(decl.args[0], om.get(decl.args[0], 0))
     if decl.kind == "cyclic":
-        return FiniteTable.cyclic(decl.args[0], decl.args[1],
-                                  om.get(decl.args[1], 0))
+        try:
+            return FiniteTable.cyclic(decl.args[0], decl.args[1],
+                                      om.get(decl.args[1], 0))
+        except GroupError as exc:
+            raise SemanticError(str(exc), *decl.span)
     if decl.kind == "free":
         return FreeGroup(decl.args, omega_for(decl.args))
     if decl.kind == "free-abelian":
@@ -735,8 +739,12 @@ def word_to_key(model: GroupModel, word, span=(0, 0)):
         if power < 0:
             g = model.inv(g)
             power = -power
-        for _ in range(power):
-            key = model.mul(key, g)
+        while power:  # repeated squaring: O(log power) products
+            if power & 1:
+                key = model.mul(key, g)
+            power >>= 1
+            if power:
+                g = model.mul(g, g)
     return key
 
 

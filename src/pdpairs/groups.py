@@ -667,11 +667,3 @@ class RingElem:
         return " ".join(parts)
 
     __repr__ = __str__
-
-
-def bar(a: RingElem) -> RingElem:
-    return a.bar()
-
-
-def aug(a: RingElem) -> int:
-    return a.aug()

@@ -34,7 +34,7 @@ from .chains import (
     verify_contraction,
 )
 from .groups import GroupModel, RingElem
-from .intlinalg import IntMatrix, class_coordinates, mat_vec
+from .intlinalg import class_coordinates, mat_vec
 
 
 class PairError(ValueError):
@@ -431,6 +431,11 @@ class BoundaryComponent:
 # The pair
 
 
+def _index(cells: dict) -> dict:
+    """(degree, index) -> the index's position in its degree's list."""
+    return {(d, i): j for d, idxs in cells.items() for j, i in enumerate(idxs)}
+
+
 class ChainPairData:
     """The engine's model of (C(X), C(dX)) with diagonal data."""
 
@@ -454,61 +459,64 @@ class ChainPairData:
 
     def _build_quotient(self):
         P = self.P
-        self.q_index = {}
-        self.d_index = {}
-        q_ranks, d_ranks = {}, {}
-        q_names, d_names = {}, {}
+        self._q_cells, self._d_cells = {}, {}
         for d in P.degrees():
             subs = self.sub_cells.get(d, ())
-            qi = []
-            di = []
-            for i in range(P.rank(d)):
-                if i in subs:
-                    self.q_index[(d, i)] = len(qi)
-                    qi.append(i)
-                else:
-                    self.d_index[(d, i)] = len(di)
-                    di.append(i)
-            if qi:
-                q_ranks[d] = len(qi)
-                q_names[d] = tuple(P.name_of(d, i) for i in qi)
-            if di:
-                d_ranks[d] = len(di)
-                d_names[d] = tuple(P.name_of(d, i) for i in di)
-        self._q_cells = {d: [i for i in range(P.rank(d))
-                             if (d, i) in self.q_index] for d in P.degrees()}
-        self._d_cells = {d: [i for i in range(P.rank(d))
-                             if (d, i) in self.d_index] for d in P.degrees()}
-
-        def submatrix(m, rows, cols):
-            return LambdaMatrix(self.model, len(rows), len(cols),
-                                [[m.data[r][c] for c in cols] for r in rows])
-
-        q_boundary, d_boundary = {}, {}
+            self._q_cells[d] = [i for i in range(P.rank(d)) if i in subs]
+            self._d_cells[d] = [i for i in range(P.rank(d)) if i not in subs]
+        self.q_index = _index(self._q_cells)
+        self.d_index = _index(self._d_cells)
         for d, m in P.boundary.items():
-            qr = self._q_cells.get(d - 1, [])
-            qc = self._q_cells.get(d, [])
-            dr = self._d_cells.get(d - 1, [])
-            dc = self._d_cells.get(d, [])
-            if qr or qc:
-                q_boundary[d] = submatrix(m, qr, qc)
-            if dr or dc:
-                d_boundary[d] = submatrix(m, dr, dc)
             # closure: Q-columns must vanish on D-rows
-            for c in qc:
-                for r in dr:
+            for c in self._q_cells.get(d, []):
+                for r in self._d_cells.get(d - 1, []):
                     if not m.data[r][c].is_zero():
                         raise PairError(
                             f"subcomplex is not closed: boundary of "
                             f"{P.name_of(d, c)} meets {P.name_of(d - 1, r)}")
-        q_aug = None
-        if P.augmentation is not None and self._q_cells.get(0):
-            q_aug = [P.augmentation[i] for i in self._q_cells[0]]
-        self.Q = LambdaComplex(self.model, q_ranks, q_boundary,
-                               augmentation=q_aug, basis_names=q_names,
-                               check=False)
-        self.D = LambdaComplex(self.model, d_ranks, d_boundary,
-                               basis_names=d_names, check=False)
+        self.Q = P.restrict(self._q_cells, augmented=True)
+        self.D = P.restrict(self._d_cells)
+
+    def restrict(self, cells: dict, sub_cells: dict, components,
+                 name: str = "", check: bool = True) -> "ChainPairData":
+        """The pair on a boundary-closed set of P's cells.
+
+        cells and sub_cells map a degree to P-indices, and components name
+        P-cells too; the result renumbers all three, and the diagonals,
+        into the restricted complex.  A kept cell whose boundary or
+        diagonal reaches a dropped cell is a PairError.
+        """
+        P = self.P
+        keep = {d: sorted(cells[d]) for d in sorted(cells) if cells[d]}
+        remap = _index(keep)
+        for (d, i) in remap:
+            bd = P.boundary_or_zero(d)
+            for r in range(bd.rows):
+                if not bd.data[r][i].is_zero() and (d - 1, r) not in remap:
+                    raise PairError(
+                        "partition not closed under boundaries: "
+                        f"{P.name_of(d, i)} -> {P.name_of(d - 1, r)}")
+        diag = {}
+        for (d, i), j in remap.items():
+            tensor = self.diagonal[(d, i)]
+            if any(a not in remap or b not in remap
+                   for (a, _, b) in tensor.terms):
+                raise PairError(
+                    f"diagonal of {P.name_of(d, i)} leaves the sub-pair")
+            diag[(d, j)] = tensor.map_cells(lambda a: (a[0], remap[a]),
+                                            lambda b: (b[0], remap[b]))
+
+        def renumber(by_degree):
+            return {d: tuple(remap[(d, i)] for i in idxs)
+                    for d, idxs in by_degree.items()}
+
+        comps = [BoundaryComponent(c.name, renumber(c.cells), c.group,
+                                   c.kappa, c.marked_disc)
+                 for c in components]
+        return ChainPairData(P.restrict(keep, augmented=True),
+                             renumber(sub_cells), diag,
+                             boundary_components=comps, name=name,
+                             check=check)
 
     # -- validation --------------------------------------------------------
 
@@ -602,21 +610,15 @@ class ChainPairData:
         return self.P.cell_index(name)
 
     def inclusion_map(self) -> LambdaChainMap:
-        comps = {}
-        for d in self.Q.degrees():
-            m = LambdaMatrix.zero(self.model, self.P.rank(d), self.Q.rank(d))
-            for j, i in enumerate(self._q_cells[d]):
-                m.data[i][j] = self.model.one()
-            comps[d] = m
+        comps = {d: LambdaMatrix.identity(self.model, self.P.rank(d))
+                 .submatrix(range(self.P.rank(d)), self._q_cells[d])
+                 for d in self.Q.degrees()}
         return LambdaChainMap(self.Q, self.P, 0, comps, check=False)
 
     def projection_map(self) -> LambdaChainMap:
-        comps = {}
-        for d in self.D.degrees():
-            m = LambdaMatrix.zero(self.model, self.D.rank(d), self.P.rank(d))
-            for j, i in enumerate(self._d_cells[d]):
-                m.data[j][i] = self.model.one()
-            comps[d] = m
+        comps = {d: LambdaMatrix.identity(self.model, self.P.rank(d))
+                 .submatrix(self._d_cells[d], range(self.P.rank(d)))
+                 for d in self.D.degrees()}
         return LambdaChainMap(self.P, self.D, 0, comps, check=False)
 
     def connecting_map(self) -> LambdaChainMap:
@@ -625,31 +627,23 @@ class ChainPairData:
         for d in self.D.degrees():
             qr = self._q_cells.get(d - 1, [])
             dc = self._d_cells.get(d, [])
-            if not qr or not dc:
-                continue
-            bd = self.P.boundary_or_zero(d)
-            comps[d] = LambdaMatrix(self.model, len(qr), len(dc),
-                                    [[bd.data[r][c] for c in dc] for r in qr])
+            if qr and dc:
+                comps[d] = self.P.boundary_or_zero(d).submatrix(qr, dc)
         return LambdaChainMap(self.D, self.Q, -1, comps, check=False)
 
     def dual_connecting_map(self) -> LambdaChainMap:
         """Q* -> D* of shift -1: the cohomology connecting map."""
-        pdual = self.P.hom_dual()
-        qdual = self.Q.hom_dual()
-        ddual = self.D.hom_dual()
         comps = {}
         for d in self.Q.degrees():
-            # source degree -d; boundary of P* from -d to -d-1, rows D*-cells
+            # source degree -d; the boundary of P* from -d to -d-1 has a row
+            # per P_{d+1} dual and a column per P_d dual
             dc = self._d_cells.get(d + 1, [])
             qc = self._q_cells.get(d, [])
-            if not dc or not qc:
-                continue
-            bd = self.P.boundary_or_zero(d + 1).bar_transpose()
-            # bd rows are P_{d+1} duals, cols P_d duals
-            comps[-d] = LambdaMatrix(self.model, len(dc), len(qc),
-                                     [[bd.data[r][c] for c in qc]
-                                      for r in dc])
-        return LambdaChainMap(qdual, ddual, -1, comps, check=False)
+            if dc and qc:
+                comps[-d] = self.P.boundary_or_zero(d + 1).bar_transpose() \
+                    .submatrix(dc, qc)
+        return LambdaChainMap(self.Q.hom_dual(), self.D.hom_dual(), -1, comps,
+                              check=False)
 
     # -- diagonals ----------------------------------------------------------
 
@@ -768,19 +762,8 @@ class ChainPairData:
         return mat_vec(m, list(x))
 
     def component_subcomplex(self, comp: BoundaryComponent) -> IntComplex:
-        cells = {d: sorted(i for i in idxs)
-                 for d, idxs in comp.cells.items()}
-        ranks = {d: len(idxs) for d, idxs in cells.items()}
-        boundary = {}
-        for d, idxs in cells.items():
-            prev = cells.get(d - 1, [])
-            if not prev:
-                continue
-            bd = self.P.boundary_or_zero(d)
-            boundary[d] = IntMatrix(
-                len(prev), len(idxs),
-                [[bd.data[r][c].aug_signed() for c in idxs] for r in prev])
-        return IntComplex(ranks, boundary, check=False)
+        cells = {d: sorted(idxs) for d, idxs in comp.cells.items()}
+        return self.P.restrict(cells).tensor_Zomega()
 
 
 # ---------------------------------------------------------------------------
@@ -853,9 +836,8 @@ def verify_pd(pair: ChainPairData, radius: int = 4) -> PDVerdict:
         delta = pair.boundary_class(x)
         for comp in pair.boundary_components:
             sub = pair.component_subcomplex(comp)
-            idxs = sorted(comp.cells.get(n - 1, ()))
-            rows = pair._q_cells.get(n - 1, [])
-            local = [delta[rows.index(i)] for i in idxs]
+            local = [delta[pair.q_index[(n - 1, i)]]
+                     for i in sorted(comp.cells.get(n - 1, ()))]
             hcomp = sub.homology(n - 1)
             if not hcomp.is_infinite_cyclic():
                 return PDVerdict(
@@ -917,24 +899,7 @@ def verify_pd(pair: ChainPairData, radius: int = 4) -> PDVerdict:
 
 def boundary_pair(pair: ChainPairData) -> ChainPairData:
     """The boundary Q as a closed pair with the restricted diagonal."""
-    q_cells = pair._q_cells
-    remap = {}
-    for d, idxs in q_cells.items():
-        for j, i in enumerate(idxs):
-            remap[(d, i)] = (d, j)
-    diag = {}
-    for (d, i), j in pair.q_index.items():
-        tensor = pair.diagonal[(d, i)]
-        diag[(d, j)] = tensor.map_cells(lambda a: remap[a],
-                                        lambda b: remap[b])
-    comps = []
-    for comp in pair.boundary_components:
-        comps.append(BoundaryComponent(
-            comp.name,
-            {d: tuple(remap[(d, i)][1] for i in idxs)
-             for d, idxs in comp.cells.items()},
-            comp.group, comp.kappa))
-    return ChainPairData(pair.Q, {}, diag, boundary_components=comps,
+    return pair.restrict(pair._q_cells, {}, pair.boundary_components,
                          name=f"{pair.name}-boundary", check=False)
 
 
@@ -1113,57 +1078,21 @@ class SumConditions:
 
 def restrict_pair(pair: ChainPairData, keep: set, new_sub: set,
                   name: str = "") -> ChainPairData:
-    """Sub-pair on a boundary-closed subset of P's basis."""
-    P = pair.P
-    model = pair.model
-    cells = {d: [i for i in range(P.rank(d)) if (d, i) in keep]
-             for d in P.degrees()}
-    ranks = {d: len(idxs) for d, idxs in cells.items() if idxs}
-    remap = {}
-    names = {}
-    for d, idxs in cells.items():
-        for j, i in enumerate(idxs):
-            remap[(d, i)] = (d, j)
-        if idxs:
-            names[d] = tuple(P.name_of(d, i) for i in idxs)
-    boundary = {}
-    for d, idxs in cells.items():
-        prev = cells.get(d - 1, [])
-        if not idxs:
-            continue
-        bd = P.boundary_or_zero(d)
-        for i in idxs:
-            for r in range(bd.rows):
-                if not bd.data[r][i].is_zero() and (d - 1, r) not in keep:
-                    raise PairError(
-                        "partition not closed under boundaries: "
-                        f"{P.name_of(d, i)} -> {P.name_of(d - 1, r)}")
-        if prev:
-            boundary[d] = LambdaMatrix(model, len(prev), len(idxs),
-                                       [[bd.data[r][c] for c in idxs]
-                                        for r in prev])
-    aug = None
-    if P.augmentation is not None and cells.get(0):
-        aug = [P.augmentation[i] for i in cells[0]]
-    sub_complex = LambdaComplex(model, ranks, boundary, augmentation=aug,
-                                basis_names=names, check=False)
-    diag = {}
-    for (d, i) in remap:
-        tensor = pair.diagonal[(d, i)]
-        mapped = tensor.map_cells(lambda a: remap.get(a),
-                                  lambda b: remap.get(b))
-        # a diagonal term escaping the subcomplex is a real failure
-        for (a, g, b) in tensor.terms:
-            if a not in remap or b not in remap:
-                raise PairError(
-                    f"diagonal of {P.name_of(d, i)} leaves the sub-pair")
-        diag[remap[(d, i)]] = mapped
-    subcells = {}
-    for (d, i) in new_sub & keep:
-        subcells.setdefault(d, []).append(remap[(d, i)][1])
-    comps = _auto_components(sub_complex, subcells, diag)
-    return ChainPairData(sub_complex, subcells, diag,
-                         boundary_components=comps, name=name)
+    """Sub-pair on a boundary-closed subset of P's basis, its boundary
+    components found by connectivity."""
+    sub = pair.restrict(_by_degree(keep), _by_degree(new_sub & keep), [],
+                        name=name, check=False)
+    sub.boundary_components = _auto_components(sub.P, sub.sub_cells,
+                                               sub.diagonal)
+    sub.validate()
+    return sub
+
+
+def _by_degree(cells) -> dict:
+    out = {}
+    for (d, i) in cells:
+        out.setdefault(d, []).append(i)
+    return out
 
 
 def _auto_components(complex_, subcells: dict, diagonal: dict):

@@ -417,10 +417,8 @@ def verify_factorization(fact: Factorization, radius: int = 4) -> bool:
     if not ModuleMorphism(b_ext, b_ext, right, check=False).is_zero(radius):
         return False
     # composite: project . middle . include = f
-    comp = LambdaMatrix(model, f.target.ngens, f.source.ngens,
-                        [[m.data[i][j] for j in range(f.source.ngens)]
-                         for i in range(f.target.ngens)])
-    diff = comp - f.matrix
+    diff = m.submatrix(range(f.target.ngens), range(f.source.ngens)) \
+        - f.matrix
     return ModuleMorphism(f.source, f.target, diff, check=False).is_zero(radius)
 
 
@@ -436,9 +434,6 @@ def _try_middle(f: ModuleMorphism, q_rank: int, rows,
     for k, row in enumerate(rows):
         for j, e in enumerate(row):
             middle.data[f.target.ngens + k][j] = e
-    mid = ModuleMorphism(f.source, b_ext, middle, check=False)
-    if not mid.well_defined(radius):
-        return None
     system = LambdaLinearSystem(model)
     system.add_var("inv", f.source.ngens, b_ext.ngens)
     terms = [(1, None, "inv", middle)]
@@ -463,9 +458,7 @@ def _try_middle(f: ModuleMorphism, q_rank: int, rows,
     if sol is None:
         return None
     fact = Factorization(f, q_rank, middle, sol["inv"])
-    if verify_factorization(fact, radius):
-        return fact
-    return None
+    return fact if verify_factorization(fact, radius) else None
 
 
 def search_factorization(f: ModuleMorphism,

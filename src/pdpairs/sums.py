@@ -29,7 +29,7 @@ from .chains import (
     embed_ring,
 )
 from .groups import FreeProduct
-from .intlinalg import IntMatrix, LinearSolver
+from .intlinalg import LinearSolver
 from .invariants import (
     compute_nu,
     extract_triple,
@@ -495,21 +495,8 @@ def export_realization_input(pair: ChainPairData, verdict: PDVerdict,
     n = pair.dimension
     if n != 3:
         raise SumError("realization handles 3-dimensional pairs")
-    P = pair.P
-    keep = {d: list(range(P.rank(d))) for d in P.degrees() if d <= 2}
-    ranks = {d: len(v) for d, v in keep.items()}
-    boundary = {d: P.boundary[d] for d in P.boundary if d <= 2}
-    names = {d: P.basis_names[d] for d in ranks}
-    skel_complex = LambdaComplex(P.model, ranks, boundary,
-                                 augmentation=P.augmentation,
-                                 basis_names=names, check=False)
-    diag = {c: t for c, t in pair.diagonal.items() if c[0] <= 2}
-    skeleton = ChainPairData(skel_complex, dict(pair.sub_cells), diag,
-                             boundary_components=[
-                                 BoundaryComponent(c.name, dict(c.cells),
-                                                   c.group, dict(c.kappa),
-                                                   c.marked_disc)
-                                 for c in pair.boundary_components],
+    cells = {d: range(pair.P.rank(d)) for d in pair.P.degrees() if d <= 2}
+    skeleton = pair.restrict(cells, pair.sub_cells, pair.boundary_components,
                              name=f"{pair.name}-skeleton")
     nu = compute_nu(pair.D, 2, verdict.fundamental_class, radius)
     fact = search_factorization(nu.morphism, radius)
@@ -575,10 +562,7 @@ def _assemble_realized(skeleton: ChainPairData, d3_rel: LambdaMatrix,
     q2_cells = skeleton._q_cells.get(2, [])
     # absolute lifts: place relative columns on the D-cells, correct by Q
     d2 = P.boundary_or_zero(2)
-    q_sub = LambdaMatrix(model, P.rank(1), len(q2_cells),
-                         [[d2.data[r][c] for c in q2_cells]
-                          for r in range(P.rank(1))]) \
-        if q2_cells else None
+    q_sub = d2.submatrix(range(P.rank(1)), q2_cells) if q2_cells else None
     solver = LambdaColumnSolver(q_sub, radius) if q_sub is not None and \
         q_sub.cols else None
     lift_cols = []
@@ -629,11 +613,10 @@ def _adjust_lifts_for_boundary(skeleton, lift_cols, inp, solver):
     if not inp.boundary_targets or not skeleton.sub_cells:
         return lift_cols
     # candidate class in degree 3 = kernel of the relative int boundary
-    d2_cells = skeleton._d_cells.get(2, [])
-    drel = [[lift_cols[j][i].aug_signed() for j in range(len(lift_cols))]
-            for i in d2_cells]
-    d_in = IntMatrix(len(d2_cells), len(lift_cols), drel)
-    kernel = LinearSolver(d_in).kernel_basis()
+    d3 = LambdaMatrix.from_columns(skeleton.model, skeleton.P.rank(2),
+                                   lift_cols)
+    d_in = d3.submatrix(skeleton._d_cells.get(2, []), range(d3.cols))
+    kernel = LinearSolver(d_in.to_int_signed()).kernel_basis()
     if len(kernel) != 1:
         return lift_cols  # verification will report the failure honestly
     x = kernel[0]

@@ -24,7 +24,16 @@ the ladder's homology-level comparison as it was written apart from the
 Z^omega screen of is_nullhomotopic; spans_reference asks one column
 solver per column whether a module element is zero;
 verify_pd_finite_reference is verify_pd's finite branch as it was when
-it linearized the whole cone of the cap.  The dense matrix
+it linearized the whole cone of the cap; quotient_reference,
+pair_maps_reference, component_subcomplex_reference,
+boundary_pair_reference, skeleton_reference and restrict_pair_reference
+are the cuts of a pair along a set of its cells as each was written by
+hand before ChainPairData.restrict (the quotient Q and D, the four maps
+between P, Q and D, a boundary component's integer complex, the boundary
+as a closed pair, the realization 2-skeleton and the splitting pieces);
+try_middle_reference is the factorization step as it was when it checked
+the middle's well-definedness before solving for its inverse.  The dense
+matrix
 helpers (mat_mul, transpose, is_zero,
 diagonal_matrix, solve_integral) and the group ring wrappers (ring_add,
 ring_mul, augmentation_ideal_membership) serve the tests only.
@@ -620,6 +629,221 @@ def verify_pd_finite_reference(pair, x):
         certificates.append(
             {"degree": d, "cone_homology": "0", "method": "linearized"})
     return "pass", "", certificates, "linearized-acyclic"
+
+
+def quotient_reference(pair):
+    """(Q, D, q_index, d_index) of the pair, cut from P by hand."""
+    from pdpairs.chains import LambdaComplex, LambdaMatrix
+    P = pair.P
+    q_index, d_index = {}, {}
+    q_ranks, d_ranks, q_names, d_names = {}, {}, {}, {}
+    for d in P.degrees():
+        subs = pair.sub_cells.get(d, ())
+        qi, di = [], []
+        for i in range(P.rank(d)):
+            if i in subs:
+                q_index[(d, i)] = len(qi)
+                qi.append(i)
+            else:
+                d_index[(d, i)] = len(di)
+                di.append(i)
+        if qi:
+            q_ranks[d] = len(qi)
+            q_names[d] = tuple(P.name_of(d, i) for i in qi)
+        if di:
+            d_ranks[d] = len(di)
+            d_names[d] = tuple(P.name_of(d, i) for i in di)
+    q_cells = {d: [i for i in range(P.rank(d)) if (d, i) in q_index]
+               for d in P.degrees()}
+    d_cells = {d: [i for i in range(P.rank(d)) if (d, i) in d_index]
+               for d in P.degrees()}
+
+    def submatrix(m, rows, cols):
+        return LambdaMatrix(P.model, len(rows), len(cols),
+                            [[m.data[r][c] for c in cols] for r in rows])
+
+    q_boundary, d_boundary = {}, {}
+    for d, m in P.boundary.items():
+        qr, qc = q_cells.get(d - 1, []), q_cells.get(d, [])
+        dr, dc = d_cells.get(d - 1, []), d_cells.get(d, [])
+        if qr or qc:
+            q_boundary[d] = submatrix(m, qr, qc)
+        if dr or dc:
+            d_boundary[d] = submatrix(m, dr, dc)
+    q_aug = None
+    if P.augmentation is not None and q_cells.get(0):
+        q_aug = [P.augmentation[i] for i in q_cells[0]]
+    Q = LambdaComplex(P.model, q_ranks, q_boundary, augmentation=q_aug,
+                      basis_names=q_names, check=False)
+    D = LambdaComplex(P.model, d_ranks, d_boundary, basis_names=d_names,
+                      check=False)
+    return Q, D, q_index, d_index
+
+
+def pair_maps_reference(pair):
+    """Components of the inclusion Q -> P, the projection P -> D, the
+    connecting map D -> Q and the dual connecting map Q* -> D*, each
+    filled entry by entry."""
+    from pdpairs.chains import LambdaMatrix
+    model, P = pair.model, pair.P
+    q_cells, d_cells = pair._q_cells, pair._d_cells
+    inclusion, projection, connecting, dual = {}, {}, {}, {}
+    for d in pair.Q.degrees():
+        m = LambdaMatrix.zero(model, P.rank(d), pair.Q.rank(d))
+        for j, i in enumerate(q_cells[d]):
+            m.data[i][j] = model.one()
+        inclusion[d] = m
+    for d in pair.D.degrees():
+        m = LambdaMatrix.zero(model, pair.D.rank(d), P.rank(d))
+        for j, i in enumerate(d_cells[d]):
+            m.data[j][i] = model.one()
+        projection[d] = m
+        qr, dc = q_cells.get(d - 1, []), d_cells.get(d, [])
+        if qr and dc:
+            bd = P.boundary_or_zero(d)
+            connecting[d] = LambdaMatrix(
+                model, len(qr), len(dc),
+                [[bd.data[r][c] for c in dc] for r in qr])
+    for d in pair.Q.degrees():
+        dc, qc = d_cells.get(d + 1, []), q_cells.get(d, [])
+        if dc and qc:
+            bd = P.boundary_or_zero(d + 1).bar_transpose()
+            dual[-d] = LambdaMatrix(model, len(dc), len(qc),
+                                    [[bd.data[r][c] for c in qc]
+                                     for r in dc])
+    return {"inclusion": inclusion, "projection": projection,
+            "connecting": connecting, "dual_connecting": dual}
+
+
+def component_subcomplex_reference(pair, comp):
+    """The Z^omega complex of one boundary component, cut from P."""
+    from pdpairs.chains import IntComplex
+    from pdpairs.intlinalg import IntMatrix
+    cells = {d: sorted(idxs) for d, idxs in comp.cells.items()}
+    boundary = {}
+    for d, idxs in cells.items():
+        prev = cells.get(d - 1, [])
+        if prev:
+            bd = pair.P.boundary_or_zero(d)
+            boundary[d] = IntMatrix(
+                len(prev), len(idxs),
+                [[bd.data[r][c].aug_signed() for c in idxs] for r in prev])
+    return IntComplex({d: len(idxs) for d, idxs in cells.items()}, boundary,
+                      check=False)
+
+
+def boundary_pair_reference(pair):
+    """The boundary Q as a closed pair, its diagonals and components
+    renumbered by hand (marked discs were not carried)."""
+    from pdpairs.pairs import BoundaryComponent, ChainPairData
+    remap = {}
+    for d, idxs in pair._q_cells.items():
+        for j, i in enumerate(idxs):
+            remap[(d, i)] = (d, j)
+    diag = {}
+    for (d, i), j in pair.q_index.items():
+        diag[(d, j)] = pair.diagonal[(d, i)].map_cells(lambda a: remap[a],
+                                                       lambda b: remap[b])
+    comps = [BoundaryComponent(comp.name,
+                               {d: tuple(remap[(d, i)][1] for i in idxs)
+                                for d, idxs in comp.cells.items()},
+                               comp.group, comp.kappa)
+             for comp in pair.boundary_components]
+    return ChainPairData(pair.Q, {}, diag, boundary_components=comps,
+                         name=f"{pair.name}-boundary", check=False)
+
+
+def skeleton_reference(pair):
+    """The 2-skeleton pair of a 3-dimensional pair, as the realization
+    export built it from P's own matrices."""
+    from pdpairs.chains import LambdaComplex
+    from pdpairs.pairs import BoundaryComponent, ChainPairData
+    P = pair.P
+    ranks = {d: P.rank(d) for d in P.degrees() if d <= 2}
+    boundary = {d: P.boundary[d] for d in P.boundary if d <= 2}
+    names = {d: P.basis_names[d] for d in ranks}
+    complex_ = LambdaComplex(P.model, ranks, boundary,
+                             augmentation=P.augmentation, basis_names=names,
+                             check=False)
+    diag = {c: t for c, t in pair.diagonal.items() if c[0] <= 2}
+    comps = [BoundaryComponent(c.name, dict(c.cells), c.group, dict(c.kappa),
+                               c.marked_disc)
+             for c in pair.boundary_components]
+    return ChainPairData(complex_, dict(pair.sub_cells), diag,
+                         boundary_components=comps,
+                         name=f"{pair.name}-skeleton")
+
+
+def restrict_pair_reference(pair, keep, new_sub, name=""):
+    """restrict_pair as it was written with its own slicing and
+    renumbering."""
+    from pdpairs.chains import LambdaComplex, LambdaMatrix
+    from pdpairs.pairs import ChainPairData, PairError, _auto_components
+    P, model = pair.P, pair.model
+    cells = {d: [i for i in range(P.rank(d)) if (d, i) in keep]
+             for d in P.degrees()}
+    ranks = {d: len(idxs) for d, idxs in cells.items() if idxs}
+    remap, names = {}, {}
+    for d, idxs in cells.items():
+        for j, i in enumerate(idxs):
+            remap[(d, i)] = (d, j)
+        if idxs:
+            names[d] = tuple(P.name_of(d, i) for i in idxs)
+    boundary = {}
+    for d, idxs in cells.items():
+        prev = cells.get(d - 1, [])
+        if not idxs:
+            continue
+        bd = P.boundary_or_zero(d)
+        for i in idxs:
+            for r in range(bd.rows):
+                if not bd.data[r][i].is_zero() and (d - 1, r) not in keep:
+                    raise PairError(
+                        "partition not closed under boundaries: "
+                        f"{P.name_of(d, i)} -> {P.name_of(d - 1, r)}")
+        if prev:
+            boundary[d] = LambdaMatrix(model, len(prev), len(idxs),
+                                       [[bd.data[r][c] for c in idxs]
+                                        for r in prev])
+    aug = None
+    if P.augmentation is not None and cells.get(0):
+        aug = [P.augmentation[i] for i in cells[0]]
+    sub_complex = LambdaComplex(model, ranks, boundary, augmentation=aug,
+                                basis_names=names, check=False)
+    diag = {}
+    for (d, i) in remap:
+        tensor = pair.diagonal[(d, i)]
+        for (a, g, b) in tensor.terms:
+            if a not in remap or b not in remap:
+                raise PairError(
+                    f"diagonal of {P.name_of(d, i)} leaves the sub-pair")
+        diag[remap[(d, i)]] = tensor.map_cells(lambda a: remap.get(a),
+                                               lambda b: remap.get(b))
+    subcells = {}
+    for (d, i) in new_sub & keep:
+        subcells.setdefault(d, []).append(remap[(d, i)][1])
+    comps = _auto_components(sub_complex, subcells, diag)
+    return ChainPairData(sub_complex, subcells, diag,
+                         boundary_components=comps, name=name)
+
+
+def try_middle_reference(f, q_rank, rows, radius):
+    """The middle and inverse _try_middle finds (or None), with the
+    well-definedness of the middle checked before the inverse is solved."""
+    from pdpairs.chains import LambdaMatrix
+    from pdpairs.presented import ModuleMorphism, _stabilized, _try_middle
+    b_ext = _stabilized(f.target, q_rank)
+    middle = LambdaMatrix.zero(f.source.model, b_ext.ngens, f.source.ngens)
+    for i in range(f.target.ngens):
+        for j in range(f.source.ngens):
+            middle.data[i][j] = f.matrix.data[i][j]
+    for k, row in enumerate(rows):
+        for j, e in enumerate(row):
+            middle.data[f.target.ngens + k][j] = e
+    if not ModuleMorphism(f.source, b_ext, middle,
+                          check=False).well_defined(radius):
+        return None
+    return _try_middle(f, q_rank, rows, radius)
 
 
 def ring_add(a, b):

@@ -20,7 +20,6 @@ from pdpairs.chains import (
     eliminate_units,
     eta_matrix,
     find_contraction,
-    induce_Lk,
     is_nullhomotopic,
     mapping_cone,
     system_block_matrix,
@@ -363,7 +362,7 @@ def test_induce_Lk():
     c = LambdaComplex(z2, {0: 1, 1: 1},
                       {1: LambdaMatrix.from_rows(z2, [[z2.unit(1) - 1]])},
                       check=False)
-    ind = induce_Lk(c, prod)
+    ind = c.induce_to(prod)
     assert ind.model == prod
     entry = ind.boundary_or_zero(1).data[0][0]
     assert entry == prod.unit(((0, 1),)) - 1
@@ -378,7 +377,7 @@ def test_induce_Lk_missing_factor():
     prod = FreeProduct(z5, z5)
     c = LambdaComplex(z2, {0: 1}, {}, check=False)
     with pytest.raises(ChainError):
-        induce_Lk(c, prod)
+        c.induce_to(prod)
 
 
 def test_mapping_cone_is_complex_and_contracts_for_iso():

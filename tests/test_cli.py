@@ -178,6 +178,49 @@ def test_homology_of_an_empty_scenario_exit_three(tmp_path, capsys):
     assert err == f"{path}: no pair or complex in scenario\n"
 
 
+# Malformed scenarios: (id, .pdp text, what the one-line message says).
+# Each must exit 3 with empty stdout and no traceback; a robustness fix
+# adds one row.
+MALFORMED = [
+    ("bad-token", "group Z = cyclic-infinite(t)\ncomplex P over Z ? {}\n",
+     "2:18: unexpected character '?'"),
+    ("ragged-matrix",
+     "group Z = cyclic-infinite(t)\ncomplex P over Z { basis { 0: v, w; "
+     "1: a, b } boundary 1 [[t - 1, 0], [1]] augmentation [1, 1] }\n",
+     "has a row of width 1, expected 2"),
+    ("unknown-group", "complex P over Missing { basis { 0: v } }\n",
+     "1:1: unknown group 'Missing'"),
+    ("generator-in-both-factors",
+     "group A = cyclic-infinite(t)\ngroup B = cyclic-infinite(t)\n"
+     "group G = free-product(A, B)\ncomplex P over G { basis { 0: v; 1: e }"
+     " boundary 1 [[t - 1]] augmentation [1] }\n",
+     "generator 't' appears in both free factors"),
+    ("cyclic-of-order-zero", "group G = cyclic(0, g)\n",
+     "1:1: cyclic: order must be positive"),
+    ("cyclic-odd-order-orientation", "group G = cyclic(3, g) omega { g: 1 }\n",
+     "1:1: cyclic: omega must kill odd-order generators"),
+    ("huge-exponent",
+     "group Z = cyclic-infinite(t)\ncomplex P over Z { basis { 0: v; 1: e }"
+     " boundary 1 [[t^1000000000000]] augmentation [1] }\n",
+     "2:1: complex 'P': augmentation does not kill d1"),
+]
+
+
+@pytest.mark.parametrize("command", ["verify", "homology"])
+@pytest.mark.parametrize("text,message", [row[1:] for row in MALFORMED],
+                         ids=[row[0] for row in MALFORMED])
+def test_malformed_scenario_exit_three(command, text, message, tmp_path,
+                                       capsys):
+    path = tmp_path / "bad.pdp"
+    path.write_text(text)
+    assert main([command, str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"{path}: ")
+    assert message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def _verify_radii(monkeypatch):
     """The radius of each verify_pd call cli.main makes, recorded."""
     import pdpairs.cli as cli

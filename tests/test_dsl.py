@@ -141,3 +141,60 @@ group K = finite-table { names e, s; table [[0, 1], [1, 0]]; generators s } omeg
 def test_finite_table_rejects_bad_table():
     with pytest.raises(SemanticError, match="finite-table"):
         load_scenario("group K = finite-table { names e, s; table [[0, 1], [1, 1]] }")
+
+
+def _count_mul(monkeypatch, model):
+    calls = []
+    real = model.mul
+
+    def mul(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(model, "mul", mul)
+    return calls
+
+
+def test_word_to_key_raises_to_large_powers_by_squaring(monkeypatch):
+    from pdpairs.dsl import word_to_key
+    from pdpairs.groups import FiniteTable, InfiniteCyclic
+    z = InfiniteCyclic("t")
+    calls = _count_mul(monkeypatch, z)
+    assert word_to_key(z, [("t", 10 ** 12)]) == 10 ** 12
+    # one product per bit and one per set bit: O(log |power|), not 10^12
+    assert len(calls) <= 2 * (10 ** 12).bit_length()
+    assert word_to_key(z, [("t", -(10 ** 12)), ("t", 3)]) == 3 - 10 ** 12
+    c5 = FiniteTable.cyclic(5, "g")
+    calls = _count_mul(monkeypatch, c5)
+    g = word_to_key(c5, [("g", 1)])
+    assert word_to_key(c5, [("g", 1000000000001)]) == g
+    assert word_to_key(c5, [("g", -4)]) == g
+    assert len(calls) <= 1 + 2 * (10 ** 12 + 1).bit_length() + 2 * 3
+
+
+def test_word_to_key_small_powers_match_repeated_products():
+    from pdpairs.dsl import word_to_key
+    from pdpairs.groups import FiniteTable, FreeGroup
+    for model, name in ((FiniteTable.symmetric3(), "r"),
+                        (FreeGroup(["a", "b"]), "a")):
+        g = word_to_key(model, [(name, 1)])
+        for power in range(-7, 8):
+            key = model.identity()
+            step = g if power >= 0 else model.inv(g)
+            for _ in range(abs(power)):
+                key = model.mul(key, step)
+            assert word_to_key(model, [(name, power)]) == key
+
+
+def test_large_exponent_parses_quickly():
+    text = """
+group Z = cyclic-infinite(t)
+complex P over Z {
+  basis { 0: v; 1: e }
+  boundary 1 [[t^1000000000000 - 1]]
+  augmentation [1]
+}
+"""
+    complex_ = load_scenario(text).complexes["P"]
+    entry = complex_.boundary_or_zero(1).data[0][0]
+    assert entry.support == {10 ** 12: 1, 0: -1}

@@ -31,6 +31,7 @@ from oracles import (
     augmentation_ideal_finite_reference,
     augmentation_ideal_reference,
     spans_reference,
+    try_middle_reference,
 )
 
 
@@ -342,3 +343,88 @@ def test_spans_matches_column_reference(model):
         rel = f.target.relations
         for m in (f.matrix, compose(f.matrix, f.source.relations)):
             assert f.target.spans(m, 2) == spans_reference(rel, m, 2)
+
+
+def _projection_off_free_summand():
+    """f: I + Lambda -> I over Z/3, the projection; no q = 0 middle."""
+    g3 = FiniteTable.cyclic(3, "g")
+    ideal = augmentation_ideal(g3)
+    rel = ideal.relations
+    a_rel = LambdaMatrix(g3, ideal.ngens + 1, rel.cols,
+                         [list(rel.data[i]) for i in range(ideal.ngens)]
+                         + [[g3.zero()] * rel.cols])
+    A = PresentedModule(g3, ideal.ngens + 1, a_rel, label="I+L")
+    fmat = LambdaMatrix.zero(g3, ideal.ngens, ideal.ngens + 1)
+    for i in range(ideal.ngens):
+        fmat.data[i][i] = g3.one()
+    return ModuleMorphism(A, ideal, fmat, check=False)
+
+
+def _nu_morphism(build):
+    from pdpairs.invariants import compute_nu
+    from pdpairs.pairs import verify_pd
+    pair = build()
+    return compute_nu(pair.D, 2, verify_pd(pair).fundamental_class).morphism
+
+
+def _factorization_cases():
+    from pdpairs.catalog import build_d3, build_lens, build_solid_torus
+    z = InfiniteCyclic("t")
+    free = PresentedModule(z, 2)
+    return {
+        "projection": _projection_off_free_summand(),
+        "unitriangular": ModuleMorphism(
+            free, free, LambdaMatrix.from_rows(
+                z, [[z.one(), z.zero()], [z.unit(1), z.one()]]),
+            check=False),
+        "nu(d3)": _nu_morphism(build_d3),
+        "nu(solid torus)": _nu_morphism(build_solid_torus),
+        "nu(L(5,1))": _nu_morphism(lambda: build_lens(5)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_factorization_cases()))
+def test_try_middle_matches_the_prechecked_reference(case, monkeypatch):
+    import pdpairs.presented as presented
+    f = _factorization_cases()[case]
+    real = presented._try_middle
+    candidates = []
+
+    def spy(f, q_rank, rows, radius):
+        candidates.append((q_rank, rows, radius))
+        return real(f, q_rank, rows, radius)
+
+    monkeypatch.setattr(presented, "_try_middle", spy)
+    assert search_factorization(f) is not None
+    monkeypatch.undo()
+    assert candidates
+    for q_rank, rows, radius in candidates:
+        got = real(f, q_rank, rows, radius)
+        ref = try_middle_reference(f, q_rank, rows, radius)
+        assert (got is None) == (ref is None)
+        if got is not None:
+            assert (got.q_rank, got.middle, got.middle_inverse) == \
+                (ref.q_rank, ref.middle, ref.middle_inverse)
+
+
+def test_try_middle_leaves_the_middle_check_to_verify_factorization(
+        monkeypatch):
+    import pdpairs.presented as presented
+    from pdpairs.catalog import build_lens
+    f = _nu_morphism(lambda: build_lens(5))
+    real = PresentedModule.spans
+    calls = []
+
+    def spans(self, m, radius=4):
+        calls.append(m)
+        return real(self, m, radius)
+
+    monkeypatch.setattr(PresentedModule, "spans", spans)
+    fact = presented._try_middle(f, 0, [], 4)
+    assert fact is not None
+    in_try = len(calls)
+    del calls[:]
+    assert verify_factorization(fact, 4)
+    # every spans call of _try_middle is one of verify_factorization's:
+    # the middle's well-definedness is solved once, not twice
+    assert in_try == len(calls) == 4
