@@ -652,6 +652,10 @@ def parse(text: str) -> Document:
 # Elaboration
 
 
+# the largest p that `cyclic(p, g)` accepts: its model holds a p x p table
+CYCLIC_ORDER_LIMIT = 1024
+
+
 @dataclass
 class Scenario:
     groups: dict
@@ -671,6 +675,10 @@ def _build_group(decl: GroupDecl, groups: dict) -> GroupModel:
     if decl.kind == "cyclic-infinite":
         return InfiniteCyclic(decl.args[0], om.get(decl.args[0], 0))
     if decl.kind == "cyclic":
+        if decl.args[0] > CYCLIC_ORDER_LIMIT:
+            raise SemanticError(
+                f"cyclic: order {decl.args[0]} exceeds the limit "
+                f"{CYCLIC_ORDER_LIMIT}", *decl.span)
         try:
             return FiniteTable.cyclic(decl.args[0], decl.args[1],
                                       om.get(decl.args[1], 0))
@@ -698,43 +706,18 @@ def _build_group(decl: GroupDecl, groups: dict) -> GroupModel:
     raise SemanticError(f"unknown group kind {decl.kind}", *decl.span)
 
 
-def _generator_table(model: GroupModel) -> dict:
-    """Name -> key for the words the surface syntax may use."""
-    table = {}
-    if isinstance(model, InfiniteCyclic):
-        table[model.gen_name] = 1
-    elif isinstance(model, (FreeAbelian,)):
-        for i, n in enumerate(model.gen_names):
-            key = [0] * model.rank
-            key[i] = 1
-            table[n] = tuple(key)
-    elif isinstance(model, FreeGroup):
-        for i, n in enumerate(model.gen_names):
-            table[n] = ((i, 1),)
-    elif isinstance(model, FiniteTable):
-        for g in model.generators:
-            table[model.names[g]] = g
-        # allow the bare generator name for cyclic tables
-        for g in model.generators:
-            base = model.names[g]
-            if "^" not in base:
-                table.setdefault(base, g)
-    elif isinstance(model, FreeProduct):
-        for side, child in enumerate(model.children):
-            for n, key in _generator_table(child).items():
-                if n in table:
-                    raise SemanticError(
-                        f"generator {n!r} appears in both free factors")
-                table[n] = model.embed(side, key)
-    return table
-
-
 def word_to_key(model: GroupModel, word, span=(0, 0)):
-    table = _generator_table(model)
+    table, shared = {}, set()
+    for name, g in model.named_generators():
+        if table.setdefault(name, g) != g:
+            shared.add(name)
     key = model.identity()
     for name, power in word:
         if name not in table:
             raise SemanticError(f"unknown generator {name!r}", *span)
+        if name in shared:
+            raise SemanticError(
+                f"generator {name!r} appears in both free factors", *span)
         g = table[name]
         if power < 0:
             g = model.inv(g)

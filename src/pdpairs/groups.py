@@ -45,6 +45,12 @@ class GroupModel:
         """Generators and their inverses, as keys.  Used for ball search."""
         raise NotImplementedError
 
+    def named_generators(self):
+        """The standard generators as (name, key) pairs, in presentation
+        order: the names words may use, and the g with g - 1 generating the
+        augmentation ideal."""
+        raise NotImplementedError
+
     def format_elem(self, a) -> str:
         raise NotImplementedError
 
@@ -117,6 +123,9 @@ class TrivialGroup(GroupModel):
     def letters(self):
         return []
 
+    def named_generators(self):
+        return []
+
     def format_elem(self, a):
         return "1"
 
@@ -162,6 +171,9 @@ class InfiniteCyclic(GroupModel):
 
     def letters(self):
         return [1, -1]
+
+    def named_generators(self):
+        return [(self.gen_name, 1)]
 
     def format_elem(self, a):
         if a == 0:
@@ -218,6 +230,9 @@ class FreeAbelian(GroupModel):
             e[i] = -1
             out.append(tuple(e))
         return out
+
+    def named_generators(self):
+        return list(zip(self.gen_names, self.letters()[::2]))
 
     def format_elem(self, a):
         parts = []
@@ -278,6 +293,9 @@ class FreeGroup(GroupModel):
             out.append(((i, 1),))
             out.append(((i, -1),))
         return out
+
+    def named_generators(self):
+        return [(n, ((i, 1),)) for i, n in enumerate(self.gen_names)]
 
     def format_elem(self, a):
         if not a:
@@ -395,6 +413,9 @@ class FiniteTable(GroupModel):
                 out.append(h)
         return out
 
+    def named_generators(self):
+        return [(self.names[g], g) for g in self.generators]
+
     def format_elem(self, a):
         return self.names[a]
 
@@ -500,6 +521,12 @@ class FreeProduct(GroupModel):
             for k in pool:
                 out.append(((side, k),))
         return out
+
+    def named_generators(self):
+        """Each factor's generators in turn, embedded on its own side."""
+        return [(name, self.embed(side, key))
+                for side, child in enumerate(self.children)
+                for name, key in child.named_generators()]
 
     def embed(self, side: int, key):
         child = self.children[side]

@@ -24,7 +24,6 @@ from .chains import (
     LambdaMatrix,
     bounded_search,
     compose,
-    embed_ring,
 )
 from .groups import GroupModel, RingElem
 from .intlinalg import IntMatrix, LinearSolver, mat_vec, snf
@@ -170,12 +169,14 @@ def augmentation_ideal(model: GroupModel) -> PresentedModule:
         cols = LambdaColumnSolver(LambdaMatrix(model, 1, r, [gens])).kernel()
     elif isinstance(model, FreeProduct):
         row_offset = 0
-        for child in model.children:
+        for side, child in enumerate(model.children):
             part = augmentation_ideal(child)
             for rel in part.relations.columns():
                 col = [model.zero()] * r
                 for i, e in enumerate(rel):
-                    col[row_offset + i] = embed_ring(e, model)
+                    col[row_offset + i] = RingElem(
+                        model, {model.embed(side, k): c
+                                for k, c in e.support.items()})
                 cols.append(col)
             row_offset += part.ngens
     return PresentedModule(model, r, LambdaMatrix.from_columns(model, r, cols),
@@ -184,23 +185,7 @@ def augmentation_ideal(model: GroupModel) -> PresentedModule:
 
 def augmentation_ideal_generators(model: GroupModel):
     """The ring elements g - 1 matching the presentation's generators."""
-    from .groups import (FiniteTable, FreeAbelian, FreeGroup, FreeProduct,
-                         InfiniteCyclic, TrivialGroup)
-    if isinstance(model, TrivialGroup):
-        return []
-    if isinstance(model, InfiniteCyclic):
-        return [model.unit(1) - 1]
-    if isinstance(model, (FreeGroup, FreeAbelian)):
-        return [model.unit(k) - 1 for k in model.letters()[::2]]
-    if isinstance(model, FiniteTable):
-        return [model.unit(g) - 1 for g in model.generators]
-    if isinstance(model, FreeProduct):
-        out = []
-        for child in model.children:
-            out.extend(embed_ring(r, model)
-                       for r in augmentation_ideal_generators(child))
-        return out
-    raise ModuleError(f"no generators for {model!r}")
+    return [model.unit(g) - 1 for _, g in model.named_generators()]
 
 
 def express_in_ideal(model: GroupModel, elem: RingElem, radius: int = 4):
@@ -236,10 +221,7 @@ class DerivedVerdict:
 
 def _torsion_data(m: PresentedModule):
     """SNF splitting of Z (x) M: (U, moduli per torsion coordinate)."""
-    rel = m.relations.to_int_plain()
-    if rel.cols == 0:
-        rel = IntMatrix.zero(m.ngens, 0)
-    res = snf(rel)
+    res = snf(m.relations.to_int_plain())
     moduli = [(i, d) for i, d in enumerate(res.diag) if d > 1]
     return res, moduli
 
@@ -298,43 +280,29 @@ def derived_equivalence(f: ModuleMorphism, radius: int = 4) -> DerivedVerdict:
         return DerivedVerdict(
             "not", reason="integral torsion reduction is not an isomorphism")
     A, B = f.source, f.target
+    ra, rb = A.relations, B.relations
     system = LambdaLinearSystem(model)
     system.add_var("g", A.ngens, B.ngens)
     system.add_var("s1", A.ngens, A.ngens)
     system.add_var("s2", B.ngens, B.ngens)
-    if B.relations.cols and A.relations.cols:
-        system.add_var("w", A.relations.cols, B.relations.cols)
-    if A.relations.cols:
-        system.add_var("v1", A.relations.cols, A.ngens)
-    if B.relations.cols:
-        system.add_var("v2", B.relations.cols, B.ngens)
-    ident_a = LambdaMatrix.identity(model, A.ngens)
-    ident_b = LambdaMatrix.identity(model, B.ngens)
-    # g is well-defined: g . R_B = R_A . w (0 when A has no relations)
-    if B.relations.cols:
-        terms = [(1, None, "g", B.relations)]
-        if A.relations.cols:
-            terms.append((-1, A.relations, "w", None))
-        system.add_constraint(
-            terms, LambdaMatrix.zero(model, A.ngens, B.relations.cols))
+    system.add_var("w", ra.cols, rb.cols)
+    system.add_var("v1", ra.cols, A.ngens)
+    system.add_var("v2", rb.cols, B.ngens)
+    # g is well-defined: g . R_B = R_A . w
+    system.add_constraint([(1, None, "g", rb), (-1, ra, "w", None)],
+                          LambdaMatrix.zero(model, A.ngens, rb.cols))
     # g f - 1 = s1 + R_A v1,  s1 . R_A = 0
-    terms = [(1, None, "g", f.matrix), (-1, None, "s1", None)]
-    if A.relations.cols:
-        terms.append((-1, A.relations, "v1", None))
-    system.add_constraint(terms, ident_a)
-    if A.relations.cols:
-        system.add_constraint([(1, None, "s1", A.relations)],
-                              LambdaMatrix.zero(model, A.ngens,
-                                                A.relations.cols))
+    system.add_constraint([(1, None, "g", f.matrix), (-1, None, "s1", None),
+                           (-1, ra, "v1", None)],
+                          LambdaMatrix.identity(model, A.ngens))
+    system.add_constraint([(1, None, "s1", ra)],
+                          LambdaMatrix.zero(model, A.ngens, ra.cols))
     # f g - 1 = s2 + R_B v2,  s2 . R_B = 0
-    terms = [(1, f.matrix, "g", None), (-1, None, "s2", None)]
-    if B.relations.cols:
-        terms.append((-1, B.relations, "v2", None))
-    system.add_constraint(terms, ident_b)
-    if B.relations.cols:
-        system.add_constraint([(1, None, "s2", B.relations)],
-                              LambdaMatrix.zero(model, B.ngens,
-                                                B.relations.cols))
+    system.add_constraint([(1, f.matrix, "g", None), (-1, None, "s2", None),
+                           (-1, rb, "v2", None)],
+                          LambdaMatrix.identity(model, B.ngens))
+    system.add_constraint([(1, None, "s2", rb)],
+                          LambdaMatrix.zero(model, B.ngens, rb.cols))
     sol, _ = bounded_search(model, radius, system.solve)
     if sol is not None:
         g = ModuleMorphism(B, A, sol["g"], check=False)
@@ -351,15 +319,11 @@ def morphism_null_in_derived(f: ModuleMorphism, radius: int = 4):
     A, B = f.source, f.target
     system = LambdaLinearSystem(model)
     system.add_var("s", B.ngens, A.ngens)
-    terms = [(1, None, "s", None)]
-    if B.relations.cols:
-        system.add_var("v", B.relations.cols, A.ngens)
-        terms.append((1, B.relations, "v", None))
-    system.add_constraint(terms, f.matrix)
-    if A.relations.cols:
-        system.add_constraint([(1, None, "s", A.relations)],
-                              LambdaMatrix.zero(model, B.ngens,
-                                                A.relations.cols))
+    system.add_var("v", B.relations.cols, A.ngens)
+    system.add_constraint([(1, None, "s", None), (1, B.relations, "v", None)],
+                          f.matrix)
+    system.add_constraint([(1, None, "s", A.relations)],
+                          LambdaMatrix.zero(model, B.ngens, A.relations.cols))
     if bounded_search(model, radius, system.solve)[0] is not None:
         return "yes"
     return "no" if model.is_finite() else "unknown"
@@ -434,26 +398,18 @@ def _try_middle(f: ModuleMorphism, q_rank: int, rows,
     for k, row in enumerate(rows):
         for j, e in enumerate(row):
             middle.data[f.target.ngens + k][j] = e
+    ra, rb = f.source.relations, b_ext.relations
     system = LambdaLinearSystem(model)
     system.add_var("inv", f.source.ngens, b_ext.ngens)
-    terms = [(1, None, "inv", middle)]
-    if f.source.relations.cols:
-        system.add_var("u1", f.source.relations.cols, f.source.ngens)
-        terms.append((-1, f.source.relations, "u1", None))
-    system.add_constraint(terms, LambdaMatrix.identity(model, f.source.ngens))
-    terms = [(1, middle, "inv", None)]
-    if b_ext.relations.cols:
-        system.add_var("u2", b_ext.relations.cols, b_ext.ngens)
-        terms.append((-1, b_ext.relations, "u2", None))
-    system.add_constraint(terms, LambdaMatrix.identity(model, b_ext.ngens))
-    if b_ext.relations.cols:
-        terms = [(1, None, "inv", b_ext.relations)]
-        if f.source.relations.cols:
-            system.add_var("w", f.source.relations.cols, b_ext.relations.cols)
-            terms.append((-1, f.source.relations, "w", None))
-        system.add_constraint(
-            terms,
-            LambdaMatrix.zero(model, f.source.ngens, b_ext.relations.cols))
+    system.add_var("u1", ra.cols, f.source.ngens)
+    system.add_var("u2", rb.cols, b_ext.ngens)
+    system.add_var("w", ra.cols, rb.cols)
+    system.add_constraint([(1, None, "inv", middle), (-1, ra, "u1", None)],
+                          LambdaMatrix.identity(model, f.source.ngens))
+    system.add_constraint([(1, middle, "inv", None), (-1, rb, "u2", None)],
+                          LambdaMatrix.identity(model, b_ext.ngens))
+    system.add_constraint([(1, None, "inv", rb), (-1, ra, "w", None)],
+                          LambdaMatrix.zero(model, f.source.ngens, rb.cols))
     sol = system.solve(radius)
     if sol is None:
         return None

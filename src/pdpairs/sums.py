@@ -547,7 +547,7 @@ def realize_free_case(inp: RealizationInput, radius: int = 4) -> RealizationOutc
         for t in range(q):
             phi.data[1 + t][j] = middle.data[ideal.ngens + t][j]
     # phi must kill the cochain relations (phi . d_1^* = 0)
-    if f2.relations.cols and not compose(phi, f2.relations).is_zero():
+    if not compose(phi, f2.relations).is_zero():
         raise SumError("phi does not vanish on im d_1^*; corrupted input")
     d3_rel = phi.bar_transpose()  # (f2.ngens) x (1 + q)
     return _assemble_realized(skeleton, d3_rel, inp, radius)

@@ -489,6 +489,57 @@ def test_lambda_linear_system_solves_at_several_radii():
     assert compose(lhs, sys.solve(2)["x"]) == rhs
 
 
+def _system_with_zero_widths(model, zero_widths):
+    """x . Q - y = b and x . D = c, solved by x = [1, g], y = g^2 - 1.  Over
+    a finite model y is eliminated and x . D, with no unit entry, is left
+    to sparse_solve.  With zero_widths, unknowns of no entries (0 x 1,
+    0 x 0, 1 x 0) and a constraint of no entries sit between the others,
+    and terms on those unknowns join both constraints, as the
+    presented-module systems state them whatever their relation widths."""
+    g = model.unit(1)
+    Q = LambdaMatrix.from_rows(model, [[g - 1], [g * g]])
+    D = LambdaMatrix.from_rows(model, [[g + 1], [g - g * g]])
+    x = LambdaMatrix.from_rows(model, [[model.one(), g]])
+    y = LambdaMatrix.from_rows(model, [[g * g - 1]])
+    none = LambdaMatrix.zero(model, 1, 0)
+    system = LambdaLinearSystem(model)
+    system.add_var("x", 1, 2)
+    if zero_widths:
+        system.add_var("u", 0, 1)
+        system.add_var("e", 0, 0)
+    system.add_var("y", 1, 1)
+    extra = [(-1, none, "u", None)] if zero_widths else []
+    system.add_constraint([(1, None, "x", Q), (-1, None, "y", None)] + extra,
+                          compose(x, Q) - y)
+    if zero_widths:
+        system.add_var("v", 1, 0)
+        system.add_constraint([(1, None, "x", LambdaMatrix.zero(model, 2, 0)),
+                               (2, None, "v", None)], none)
+    extra = [(1, none, "u", None)] if zero_widths else []
+    system.add_constraint([(1, None, "x", D)] + extra, compose(x, D))
+    return system
+
+
+@pytest.mark.parametrize("model", [FiniteTable.cyclic(4, "g"),
+                                   InfiniteCyclic("t")], ids=["C4", "Z"])
+def test_zero_width_unknowns_and_constraints_change_nothing(model):
+    plain = _system_with_zero_widths(model, False)
+    padded = _system_with_zero_widths(model, True)
+    support = model.ball(2)
+    rows, rhs, kept, log = plain._integer_system(support)
+    assert rows and any(rhs) and bool(log) == model.is_finite()
+    assert padded._integer_system(support) == (rows, rhs, kept, log)
+    solved, padded_solved = plain.solve(2), padded.solve(2)
+    for terms, want in plain.constraints:
+        got = LambdaMatrix.zero(model, want.rows, want.cols)
+        for c, P, name, Q in terms:
+            got = got + _term_value(model, P, solved[name], Q).scale(c)
+        assert got == want
+    assert {k: padded_solved[k] for k in solved} == solved
+    assert {k: (m.rows, m.cols) for k, m in padded_solved.items()
+            if k not in solved} == {"u": (0, 1), "e": (0, 0), "v": (1, 0)}
+
+
 def test_from_columns_transposes():
     z = InfiniteCyclic("t")
     t = z.unit(1)

@@ -194,9 +194,11 @@ MALFORMED = [
      "group A = cyclic-infinite(t)\ngroup B = cyclic-infinite(t)\n"
      "group G = free-product(A, B)\ncomplex P over G { basis { 0: v; 1: e }"
      " boundary 1 [[t - 1]] augmentation [1] }\n",
-     "generator 't' appears in both free factors"),
+     "4:41: generator 't' appears in both free factors"),
     ("cyclic-of-order-zero", "group G = cyclic(0, g)\n",
      "1:1: cyclic: order must be positive"),
+    ("cyclic-order-over-the-limit", "group G = cyclic(20000, g)\n",
+     "1:1: cyclic: order 20000 exceeds the limit 1024"),
     ("cyclic-odd-order-orientation", "group G = cyclic(3, g) omega { g: 1 }\n",
      "1:1: cyclic: omega must kill odd-order generators"),
     ("huge-exponent",

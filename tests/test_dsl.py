@@ -186,6 +186,31 @@ def test_word_to_key_small_powers_match_repeated_products():
             assert word_to_key(model, [(name, power)]) == key
 
 
+def test_cyclic_order_limit_is_checked_before_the_table(monkeypatch):
+    from pdpairs import dsl
+    # ROADMAP item 7's L(p, 1) series runs to p = 640
+    assert dsl.CYCLIC_ORDER_LIMIT >= 640
+    orders = []
+    monkeypatch.setattr(dsl.FiniteTable, "cyclic", lambda p, name, omega:
+                        orders.append(p) or dsl.TrivialGroup())
+    load_scenario(f"group G = cyclic({dsl.CYCLIC_ORDER_LIMIT}, g)\n")
+    with pytest.raises(SemanticError, match="1:1: cyclic: order 1025 exceeds"):
+        load_scenario(f"group G = cyclic({dsl.CYCLIC_ORDER_LIMIT + 1}, g)\n")
+    assert orders == [dsl.CYCLIC_ORDER_LIMIT]
+
+
+def test_shared_free_factor_name_fails_at_the_word_that_uses_it():
+    head = ("group A = free(a, t)\ngroup B = cyclic-infinite(t)\n"
+            "group G = free-product(A, B)\n")
+    body = ("complex P over G {{ basis {{ 0: v; 1: e }} boundary 1 [[{}]] "
+            "augmentation [1] }}\n")
+    d1 = load_scenario(head + body.format("a - 1")).complexes["P"]
+    assert d1.boundary_or_zero(1).data[0][0].support == {((0, ((0, 1),)),): 1,
+                                                         (): -1}
+    with pytest.raises(SemanticError, match="^4:41: generator 't' appears"):
+        load_scenario(head + body.format("a*t - 1"))
+
+
 def test_large_exponent_parses_quickly():
     text = """
 group Z = cyclic-infinite(t)

@@ -8,6 +8,7 @@ from pdpairs.chains import LambdaComplex, LambdaMatrix, compose
 from pdpairs.groups import (
     FiniteTable,
     FreeAbelian,
+    FreeGroup,
     FreeProduct,
     InfiniteCyclic,
     TrivialGroup,
@@ -101,6 +102,38 @@ def test_augmentation_ideal_free_product_direct_sum():
     gens = augmentation_ideal_generators(prod)
     assert gens[0] == prod.unit(((0, 1),)) - 1
     assert gens[1] == prod.unit(((1, 1),)) - 1
+
+
+def test_named_generators_in_presentation_order():
+    nested = FreeProduct(FreeProduct(InfiniteCyclic("t"),
+                                     FiniteTable.cyclic(3, "b")),
+                         FreeAbelian(["x", "y"]))
+    assert nested.named_generators() == [
+        ("t", ((0, ((0, 1),)),)), ("b", ((0, ((1, 1),)),)),
+        ("x", ((1, (1, 0)),)), ("y", ((1, (0, 1)),))]
+    assert FreeGroup(["a", "b"]).named_generators() == [
+        ("a", ((0, 1),)), ("b", ((1, 1),))]
+    assert FiniteTable.symmetric3().named_generators() == [("r", 1),
+                                                           ("s", 3)]
+    assert TrivialGroup().named_generators() == []
+    assert augmentation_ideal_generators(nested) == [
+        nested.unit(k) - 1 for _, k in nested.named_generators()]
+
+
+def test_free_product_of_equal_factors_keeps_each_factor_on_its_side():
+    # the group of st#st is Z * Z with both generators named t
+    z = InfiniteCyclic("t")
+    zz = FreeProduct(z, z)
+    assert augmentation_ideal_generators(zz) == [
+        zz.unit(((0, 1),)) - 1, zz.unit(((1, 1),)) - 1]
+    c2 = FiniteTable.cyclic(2, "g")
+    for model in (FreeProduct(c2, c2), FreeProduct(c2, FreeProduct(c2, z))):
+        ideal = augmentation_ideal(model)
+        assert ideal.relations.cols == 2
+        # each relation kills the generators: column j is (1 + g) on row j
+        row = LambdaMatrix(model, 1, ideal.ngens,
+                           [augmentation_ideal_generators(model)])
+        assert compose(row, ideal.relations).is_zero()
 
 
 def test_express_in_ideal():
