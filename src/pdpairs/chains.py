@@ -341,6 +341,13 @@ class LambdaLinearSystem:
     by back-substitution.  Over an infinite model the unknowns are confined
     to the ball, which substitution would not respect, so the system is
     linearized as stated.
+
+    A finite system states many integer equations more than once.  The
+    norm element N = sum g has N x = eps(x) N, so an equation whose
+    coefficients are multiples of N linearizes to |pi| identical rows, one
+    per h.  A lens space's d_2 is N, so such copies are most of nu's
+    equations and all of a realized diagonal's residual; sparse_solve gets
+    each distinct equation once.
     """
 
     def __init__(self, model: GroupModel):
@@ -592,17 +599,26 @@ class LambdaLinearSystem:
         lists the unknowns given columns, log the Lambda-level pivots; None
         when elimination already shows there is no solution.  Kept apart
         from solve so that the statement and the row index, which only the
-        build needs, are freed before sparse_solve starts."""
+        build needs, are freed before sparse_solve starts.
+
+        Over a finite model each distinct (row, right-hand side) is kept
+        once, first occurrences in order: the norm element's copies (see
+        the class docstring) go, while rows that differ only on the right
+        still refute the system."""
         parts, n = self._statement()
-        log = []
-        if self.model.is_finite():
-            reduced = self._eliminate(parts)
-            if reduced is None:
-                return None
-            parts, log = reduced
+        if not self.model.is_finite():
+            kept = list(range(n))
+            return (*self._linearize(parts, support, kept), kept, [])
+        reduced = self._eliminate(parts)
+        if reduced is None:
+            return None
+        parts, log = reduced
         gone = {entry[0] for entry in log}
         kept = [k for k in range(n) if k not in gone]
-        return (*self._linearize(parts, support, kept), kept, log)
+        distinct = {}
+        for row, b in zip(*self._linearize(parts, support, kept)):
+            distinct.setdefault((frozenset(row.items()), b), row)
+        return list(distinct.values()), [b for _, b in distinct], kept, log
 
     def solve(self, radius: int = 4):
         """A solution with entries supported on model.ball(radius), as a

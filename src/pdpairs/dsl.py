@@ -86,6 +86,7 @@ def tokenize(text: str):
         if ch == "#":
             while i < n and text[i] != "\n":
                 i += 1
+                col += 1
             continue
         matched = None
         for p in PUNCT:
@@ -684,10 +685,14 @@ def _build_group(decl: GroupDecl, groups: dict) -> GroupModel:
                                       om.get(decl.args[1], 0))
         except GroupError as exc:
             raise SemanticError(str(exc), *decl.span)
-    if decl.kind == "free":
-        return FreeGroup(decl.args, omega_for(decl.args))
-    if decl.kind == "free-abelian":
-        return FreeAbelian(decl.args, omega_for(decl.args))
+    if decl.kind in ("free", "free-abelian"):
+        for i, n in enumerate(decl.args):
+            if n in decl.args[:i]:
+                raise SemanticError(
+                    f"{decl.kind}: generator {n!r} is named twice",
+                    *decl.span)
+        model = FreeGroup if decl.kind == "free" else FreeAbelian
+        return model(decl.args, omega_for(decl.args))
     if decl.kind == "free-product":
         for ref in decl.args:
             if ref not in groups:
@@ -706,19 +711,26 @@ def _build_group(decl: GroupDecl, groups: dict) -> GroupModel:
     raise SemanticError(f"unknown group kind {decl.kind}", *decl.span)
 
 
-def word_to_key(model: GroupModel, word, span=(0, 0)):
-    table, shared = {}, set()
+def generator_names(model: GroupModel) -> dict:
+    """Name -> key of model's named generators, the table words are read
+    with; None for a name that two generators share, as the factors of a
+    free product may."""
+    names = {}
     for name, g in model.named_generators():
-        if table.setdefault(name, g) != g:
-            shared.add(name)
+        names[name] = g if names.get(name, g) == g else None
+    return names
+
+
+def word_to_key(model: GroupModel, names: dict, word, span=(0, 0)):
+    """The key of word over model, names its generator_names."""
     key = model.identity()
     for name, power in word:
-        if name not in table:
+        if name not in names:
             raise SemanticError(f"unknown generator {name!r}", *span)
-        if name in shared:
+        g = names[name]
+        if g is None:
             raise SemanticError(
                 f"generator {name!r} appears in both free factors", *span)
-        g = table[name]
         if power < 0:
             g = model.inv(g)
             power = -power
@@ -731,25 +743,28 @@ def word_to_key(model: GroupModel, word, span=(0, 0)):
     return key
 
 
-def entry_to_ring(model: GroupModel, entry_ast, span=(0, 0)) -> RingElem:
+def entry_to_ring(model: GroupModel, names: dict, entry_ast,
+                  span=(0, 0)) -> RingElem:
     out = model.zero()
     for coeff, word in entry_ast:
-        key = word_to_key(model, word, span)
+        key = word_to_key(model, names, word, span)
         out = out + model.unit(key, coeff)
     return out
 
 
 def elaborate(doc: Document) -> Scenario:
-    groups = {}
+    groups, tables = {}, {}
     for decl in doc.groups:
         if decl.name in groups:
             raise SemanticError(f"duplicate group {decl.name!r}", *decl.span)
         groups[decl.name] = _build_group(decl, groups)
-    complexes = {}
+        tables[decl.name] = generator_names(groups[decl.name])
+    complexes, complex_tables = {}, {}
     for decl in doc.complexes:
         if decl.group not in groups:
             raise SemanticError(f"unknown group {decl.group!r}", *decl.span)
         model = groups[decl.group]
+        table = complex_tables[decl.name] = tables[decl.group]
         ranks = {d: len(ns) for d, ns in decl.basis.items()}
         names = {d: tuple(ns) for d, ns in decl.basis.items()}
         boundary = {}
@@ -767,7 +782,7 @@ def elaborate(doc: Document) -> Scenario:
                         f"boundary {d} of complex {decl.name!r} has a row of "
                         f"width {len(row)}, expected {want_cols}", *span)
             boundary[d] = LambdaMatrix.from_rows(
-                model, [[entry_to_ring(model, e, span) for e in row]
+                model, [[entry_to_ring(model, table, e, span) for e in row]
                         for row in rows])
         aug = None
         if decl.augmentation is not None:
@@ -775,7 +790,7 @@ def elaborate(doc: Document) -> Scenario:
                 raise SemanticError(
                     f"augmentation of {decl.name!r} has wrong length",
                     *decl.span)
-            aug = [entry_to_ring(model, e, decl.span)
+            aug = [entry_to_ring(model, table, e, decl.span)
                    for e in decl.augmentation]
         try:
             complexes[decl.name] = LambdaComplex(
@@ -784,18 +799,21 @@ def elaborate(doc: Document) -> Scenario:
             raise SemanticError(f"complex {decl.name!r}: {exc}", *decl.span)
     pairs = {}
     for decl in doc.pairs:
-        pairs[decl.name] = _build_pair(decl, groups, complexes)
+        pairs[decl.name] = _build_pair(decl, groups, complexes,
+                                       complex_tables)
     for decl in doc.deltas:
-        pairs[decl.name] = _build_delta_pair(decl, groups)
+        pairs[decl.name] = _build_delta_pair(decl, groups, tables)
     return Scenario(groups, complexes, pairs, doc)
 
 
-def _build_pair(decl: PairDecl, groups, complexes) -> ChainPairData:
+def _build_pair(decl: PairDecl, groups, complexes,
+                complex_tables) -> ChainPairData:
     if decl.complex_name not in complexes:
         raise SemanticError(f"unknown complex {decl.complex_name!r}",
                             *decl.span)
     complex_ = complexes[decl.complex_name]
     model = complex_.model
+    names = complex_tables[decl.complex_name]
     sub = {}
     for n in decl.sub:
         try:
@@ -818,8 +836,8 @@ def _build_pair(decl: PairDecl, groups, complexes) -> ChainPairData:
                                 *decl.span)
         tensor = LambdaTensor(model)
         for coeff_ast, left, word, right in tensor_ast:
-            coeff = entry_to_ring(model, coeff_ast, decl.span)
-            key = word_to_key(model, word, decl.span)
+            coeff = entry_to_ring(model, names, coeff_ast, decl.span)
+            key = word_to_key(model, names, word, decl.span)
             try:
                 lcell = complex_.cell_index(left)
                 rcell = complex_.cell_index(right)
@@ -841,7 +859,7 @@ def _build_pair(decl: PairDecl, groups, complexes) -> ChainPairData:
                 GroupDecl("", cd.group[0], cd.group[1], {}, cd.span), groups)
         kappa = {}
         for gen, entry in cd.kappa.items():
-            ring = entry_to_ring(model, entry, cd.span)
+            ring = entry_to_ring(model, names, entry, cd.span)
             unit = ring.is_unit_monomial()
             if unit is None or unit[1] != 1:
                 raise SemanticError(
@@ -859,10 +877,11 @@ def _build_pair(decl: PairDecl, groups, complexes) -> ChainPairData:
         raise SemanticError(f"pair {decl.name!r}: {exc}", *decl.span)
 
 
-def _build_delta_pair(decl: DeltaDecl, groups) -> ChainPairData:
+def _build_delta_pair(decl: DeltaDecl, groups, tables) -> ChainPairData:
     if decl.group not in groups:
         raise SemanticError(f"unknown group {decl.group!r}", *decl.span)
     model = groups[decl.group]
+    names = tables[decl.group]
     simplices = {}
     for name, (v0, v1, word) in decl.edges.items():
         for v in (v0, v1):
@@ -870,7 +889,8 @@ def _build_delta_pair(decl: DeltaDecl, groups) -> ChainPairData:
                 raise SemanticError(f"edge {name!r}: unknown vertex {v!r}",
                                     *decl.span)
         simplices[name] = Simplex(name, 1, (v0, v1),
-                                  word_to_key(model, word, decl.span))
+                                  word_to_key(model, names, word,
+                                              decl.span))
     for name, faces in decl.triangles.items():
         simplices[name] = Simplex(name, 2, faces)
     dc = DeltaComplexInput(model, list(decl.vertices), simplices,

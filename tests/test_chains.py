@@ -1,5 +1,6 @@
 """Lambda-complexes, duals, linearization, homotopy search."""
 
+import hashlib
 import random
 
 import pytest
@@ -678,14 +679,26 @@ ELIMINATION_GROUPS = {
 }
 
 
+def _norm(model):
+    """The norm element N = sum g of a finite model."""
+    out = model.zero()
+    for g in model.ball(0):
+        out = out + model.unit(g)
+    return out
+
+
 def _random_coefficient(model, rng):
-    """Zero, a unit +-g, or a combination of a few group elements."""
+    """Zero, a unit +-g, a multiple of the norm element, whose equations
+    linearize to identical rows, or a combination of a few group
+    elements."""
     elems = model.ball(0)
     roll = rng.random()
     if roll < 0.2:
         return model.zero()
-    if roll < 0.65:
+    if roll < 0.6:
         return model.unit(rng.choice(elems), rng.choice([1, -1]))
+    if roll < 0.7:
+        return _norm(model) * rng.choice([1, -1, 2])
     out = model.zero()
     for _ in range(rng.randint(2, 3)):
         out = out + model.unit(rng.choice(elems), rng.choice([1, -1, 2, -3]))
@@ -783,20 +796,25 @@ def test_lambda_elimination_solves_the_full_system(group, seed):
 
 
 def test_lambda_elimination_generator_covers_pivots_and_failures():
-    # the random systems pivot, and are solved, refuted by elimination
-    # alone and refuted by sparse_solve on the residual
+    # the random systems pivot, repeat integer equations, and are solved,
+    # refuted by elimination alone and refuted by sparse_solve on the
+    # residual
     rng = random.Random("lambda-elimination")
-    pivoted = 0
+    pivoted = repeated = 0
     outcomes = set()
     for group in sorted(ELIMINATION_GROUPS):
         for _ in range(60):
-            sol, eliminated = _check_elimination(
-                _random_lambda_system(ELIMINATION_GROUPS[group], rng))
+            system = _random_lambda_system(ELIMINATION_GROUPS[group], rng)
+            rows, _, rhs = _full_system(system)
+            equations = [(frozenset(row.items()), b)
+                         for row, b in zip(rows, rhs) if row]
+            repeated += len(set(equations)) < len(equations)
+            sol, eliminated = _check_elimination(system)
             pivoted += bool(eliminated)
             outcomes.add("solved" if sol is not None else
                          "by elimination" if eliminated is None else
                          "by sparse_solve")
-    assert pivoted > 100
+    assert pivoted > 100 and repeated > 50
     assert outcomes == {"solved", "by elimination", "by sparse_solve"}
 
 
@@ -835,3 +853,69 @@ def test_lambda_elimination_merges_terms_that_act_alike():
         _, log = system._eliminate(system._statement()[0])
         assert len(log) == pivots
         _check_elimination(system)
+
+
+def test_repeated_integer_equations_reach_sparse_solve_once(monkeypatch):
+    # over C5, N . X = 3N linearizes to 5 copies of one row; sparse_solve
+    # gets it once.  N . X = 2N has the same left side: both right-hand
+    # sides must reach it, and together they have no solution.
+    import pdpairs.intlinalg as intlinalg
+    model = FiniteTable.cyclic(5, "g")
+    norm = LambdaMatrix.from_rows(model, [[_norm(model)]])
+    system = LambdaLinearSystem(model)
+    system.add_var("x", 1, 1)
+    system.add_constraint([(1, norm, "x", None)], norm.scale(3))
+    rows, _, rhs = _full_system(system)
+    assert len(rows) == 5 and all(row == rows[0] for row in rows)
+    assert rhs == [3] * 5
+    seen = []
+    real = intlinalg.sparse_solve
+
+    def record(rows, ncols, rhs):
+        seen.append((len(rows), list(rhs)))
+        return real(rows, ncols, rhs)
+
+    monkeypatch.setattr(intlinalg, "sparse_solve", record)
+    sol, _ = _check_elimination(system)
+    assert sol is not None and seen == [(1, [3])]
+    system.add_constraint([(1, norm, "x", None)], norm.scale(2))
+    sol, _ = _check_elimination(system)
+    assert sol is None and seen[1] == (2, [3, 2])
+
+
+# (count, sha256) of every LambdaLinearSystem.solve result while computing
+# nu of L(p,1), p = 2..13, and realizing L(7..9,1), each result the entries
+# of each variable in var_order (their supports in order) or None, as
+# recorded before solve stated each distinct integer equation once
+FINITE_SOLUTIONS = (27, "e58817da8acc7081caf82c71568abc01"
+                        "0bc690da62aa37cc7f4f59523fb531e1")
+
+
+def test_finite_group_solutions_are_unchanged(monkeypatch):
+    from pdpairs.catalog import build_lens
+    from pdpairs.invariants import nu_of_pair, nu_verdict
+    from pdpairs.pairs import verify_pd
+    from pdpairs.sums import export_realization_input, realize_free_case
+    results = []
+    real = LambdaLinearSystem.solve
+
+    def record(self, radius=4):
+        out = real(self, radius)
+        assert self.model.is_finite()
+        results.append(None if out is None else [
+            (name, [[list(e.support.items()) for e in row]
+                    for row in out[name].data])
+            for name in self.var_order])
+        return out
+
+    monkeypatch.setattr(LambdaLinearSystem, "solve", record)
+    for p in range(2, 14):
+        pair = build_lens(p)
+        nu_verdict(nu_of_pair(pair, verify_pd(pair).fundamental_class))
+    for p in (7, 8, 9):
+        pair = build_lens(p)
+        realize_free_case(export_realization_input(pair, verify_pd(pair)))
+    digest = hashlib.sha256()
+    for result in results:
+        digest.update(repr(result).encode())
+    assert (len(results), digest.hexdigest()) == FINITE_SOLUTIONS

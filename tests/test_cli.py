@@ -195,6 +195,12 @@ MALFORMED = [
      "group G = free-product(A, B)\ncomplex P over G { basis { 0: v; 1: e }"
      " boundary 1 [[t - 1]] augmentation [1] }\n",
      "4:41: generator 't' appears in both free factors"),
+    ("repeated-free-generator",
+     "group F = free(a, a)\ncomplex P over F { basis { 0: v; 1: e }"
+     " boundary 1 [[a - 1]] augmentation [1] }\n",
+     "1:1: free: generator 'a' is named twice"),
+    ("repeated-free-abelian-generator", "group F = free-abelian(x, y, x)\n",
+     "1:1: free-abelian: generator 'x' is named twice"),
     ("cyclic-of-order-zero", "group G = cyclic(0, g)\n",
      "1:1: cyclic: order must be positive"),
     ("cyclic-order-over-the-limit", "group G = cyclic(20000, g)\n",

@@ -10,6 +10,7 @@ from pdpairs.dsl import (
     load_scenario,
     parse,
     print_document,
+    tokenize,
 )
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "src" / "pdpairs" \
@@ -155,35 +156,38 @@ def _count_mul(monkeypatch, model):
     return calls
 
 
+def _word_to_key(model, word):
+    from pdpairs.dsl import generator_names, word_to_key
+    return word_to_key(model, generator_names(model), word)
+
+
 def test_word_to_key_raises_to_large_powers_by_squaring(monkeypatch):
-    from pdpairs.dsl import word_to_key
     from pdpairs.groups import FiniteTable, InfiniteCyclic
     z = InfiniteCyclic("t")
     calls = _count_mul(monkeypatch, z)
-    assert word_to_key(z, [("t", 10 ** 12)]) == 10 ** 12
+    assert _word_to_key(z, [("t", 10 ** 12)]) == 10 ** 12
     # one product per bit and one per set bit: O(log |power|), not 10^12
     assert len(calls) <= 2 * (10 ** 12).bit_length()
-    assert word_to_key(z, [("t", -(10 ** 12)), ("t", 3)]) == 3 - 10 ** 12
+    assert _word_to_key(z, [("t", -(10 ** 12)), ("t", 3)]) == 3 - 10 ** 12
     c5 = FiniteTable.cyclic(5, "g")
     calls = _count_mul(monkeypatch, c5)
-    g = word_to_key(c5, [("g", 1)])
-    assert word_to_key(c5, [("g", 1000000000001)]) == g
-    assert word_to_key(c5, [("g", -4)]) == g
+    g = _word_to_key(c5, [("g", 1)])
+    assert _word_to_key(c5, [("g", 1000000000001)]) == g
+    assert _word_to_key(c5, [("g", -4)]) == g
     assert len(calls) <= 1 + 2 * (10 ** 12 + 1).bit_length() + 2 * 3
 
 
 def test_word_to_key_small_powers_match_repeated_products():
-    from pdpairs.dsl import word_to_key
     from pdpairs.groups import FiniteTable, FreeGroup
     for model, name in ((FiniteTable.symmetric3(), "r"),
                         (FreeGroup(["a", "b"]), "a")):
-        g = word_to_key(model, [(name, 1)])
+        g = _word_to_key(model, [(name, 1)])
         for power in range(-7, 8):
             key = model.identity()
             step = g if power >= 0 else model.inv(g)
             for _ in range(abs(power)):
                 key = model.mul(key, step)
-            assert word_to_key(model, [(name, power)]) == key
+            assert _word_to_key(model, [(name, power)]) == key
 
 
 def test_cyclic_order_limit_is_checked_before_the_table(monkeypatch):
@@ -209,6 +213,31 @@ def test_shared_free_factor_name_fails_at_the_word_that_uses_it():
                                                          (): -1}
     with pytest.raises(SemanticError, match="^4:41: generator 't' appears"):
         load_scenario(head + body.format("a*t - 1"))
+
+
+def test_each_group_builds_its_name_table_once(monkeypatch):
+    from pdpairs import groups
+    calls = []
+    for cls in (groups.TrivialGroup, groups.InfiniteCyclic,
+                groups.FreeAbelian, groups.FreeGroup, groups.FiniteTable,
+                groups.FreeProduct):
+        def count(self, real=cls.named_generators):
+            calls.append(type(self).__name__)
+            return real(self)
+
+        monkeypatch.setattr(cls, "named_generators", count)
+    # solid_torus.pdp declares one group and reads 59 words over it
+    assert load_scenario(read("solid_torus.pdp")).pairs
+    assert calls == ["InfiniteCyclic"]
+
+
+def test_comments_advance_the_column():
+    assert [(t.kind, t.line, t.col) for t in tokenize("a # c\n  b # d")] \
+        == [("name", 1, 1), ("name", 2, 3), ("eof", 2, 8)]
+    # an end-of-input error after a trailing comment points past it
+    with pytest.raises(ParseError) as err:
+        parse("group G = # c")
+    assert (err.value.line, err.value.col) == (1, 14)
 
 
 def test_large_exponent_parses_quickly():

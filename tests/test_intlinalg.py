@@ -480,13 +480,16 @@ def test_sparse_solve_core_replays_the_logs_and_builds_no_u_or_v(
 
 def test_lambda_elimination_hands_sparse_solve_a_residual(monkeypatch):
     # Lambda-level unit elimination leaves p^2 x 2p of the L(p,1)
-    # diagonal's 3p^2 x 2p^2 integer system and 3p x 4p of nu's 5p x 6p
+    # diagonal's 3p^2 x 2p^2 integer system and 3p x 4p of nu's 5p x 6p;
+    # those are copies of the norm element's rows, and sparse_solve gets
+    # each distinct row once: 1 of the diagonal's, 3 of nu's
     assert _sparse_shapes(monkeypatch, lambda: _nu_of_lens(30)) == \
-        [(90, 120, 5400)]
+        [(3, 120, 180)]
     for p in (9, 14):
         shapes = [(m, n) for m, n, _ in
                   _sparse_shapes(monkeypatch, lambda: _realize_lens(p))]
-        assert (p * p, 2 * p) in shapes
+        assert (1, 2 * p) in shapes
+        assert (p * p, 2 * p) not in shapes
         assert (3 * p * p, 2 * p * p) not in shapes
 
 
