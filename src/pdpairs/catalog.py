@@ -230,37 +230,31 @@ def build_broken_boundary_sign() -> ChainPairData:
     Still a complex with valid diagonal data, but the boundary surface
     degenerates and H_3 of the quotient dies: duality must fail.
     """
-    z = InfiniteCyclic("t")
+    base = build_solid_torus()
+    z = base.model
     one = z.one()
     zero = z.zero()
     t = z.unit(1)
     c = LambdaComplex(
-        z, {0: 1, 1: 3, 2: 3, 3: 1},
-        {1: LambdaMatrix.from_rows(z, [[zero, t - 1, zero]]),
+        z, dict(base.P.ranks),
+        {1: base.P.boundary[1],
          2: LambdaMatrix.from_rows(z, [[one + t, zero, one],
                                        [zero, zero, zero],
                                        [-one, one, zero]]),
          3: LambdaMatrix.from_rows(z, [[one], [one], [-one - t]])},
         augmentation=[one],
-        basis_names={0: ("v",), 1: ("a", "b", "c"), 2: ("T", "d", "m"),
-                     3: ("E",)})
+        basis_names=base.P.basis_names)
     e = z.identity()
-    tk = 1
-    diag = {
-        c.cell_index("v"): _tensor(z, c, (1, "v", e, "v")),
-        c.cell_index("a"): _tensor(z, c, (1, "v", e, "a"), (1, "a", e, "v")),
-        c.cell_index("b"): _tensor(z, c, (1, "v", e, "b"), (1, "b", tk, "v")),
-        c.cell_index("c"): _tensor(z, c, (1, "v", e, "c"), (1, "c", e, "v")),
-        c.cell_index("T"): _tensor(z, c, (1, "v", e, "T"), (1, "T", e, "v"),
-                                   (1, "b", tk, "a"), (-t, "a", -1, "b")),
-        c.cell_index("d"): _tensor(z, c, (1, "v", e, "d"), (1, "d", e, "v")),
-        c.cell_index("m"): _tensor(z, c, (1, "v", e, "m"), (1, "m", e, "v")),
-        c.cell_index("E"): _tensor(z, c, (1, "v", e, "E"), (1, "E", e, "v"),
-                                   (-1, "b", tk, "m"), (-t, "m", -1, "b")),
-    }
+    diag = dict(base.diagonal)
+    diag[c.cell_index("T")] = _tensor(
+        z, c, (1, "v", e, "T"), (1, "T", e, "v"),
+        (1, "b", 1, "a"), (-t, "a", -1, "b"))
+    diag[c.cell_index("E")] = _tensor(
+        z, c, (1, "v", e, "E"), (1, "E", e, "v"),
+        (-1, "b", 1, "m"), (-t, "m", -1, "b"))
     comp = BoundaryComponent(
         "twisted-surface", {0: (0,), 1: (0, 1, 2), 2: (0, 1)}, None, {})
-    return ChainPairData(c, {0: (0,), 1: (0, 1, 2), 2: (0, 1)}, diag,
+    return ChainPairData(c, dict(base.sub_cells), diag,
                          boundary_components=[comp], top_cell="E",
                          name="broken-boundary-sign")
 

@@ -1012,26 +1012,20 @@ class NullHomotopyVerdict:
         return self.status == "homotopic"
 
 
-def kills_homology(f: LambdaChainMap, linearized: bool = False):
-    """Test whether f induces zero on the homology of an integral reduction.
+def kills_homology(f: LambdaChainMap):
+    """Test whether f induces zero on the homology of Z^omega (x) -.
 
     Returns None when it does (every homology generator of the source maps
     to a boundary), else the obstruction "nonzero on homology at degree d"
-    for the first degree d where one does not.  The reduction is
-    Z^omega (x) -, which any model has, or with linearized=True the regular
-    representation of a finite model.
+    for the first degree d where one does not.
     """
-    if linearized:
-        src, tgt = f.source.linearized(), f.target.linearized()
-    else:
-        src, tgt = f.source.tensor_Zomega(), f.target.tensor_Zomega()
+    src, tgt = f.source.tensor_Zomega(), f.target.tensor_Zomega()
     for d in f.source.degrees():
         h = src.homology(d)
         gens = h.free_generators + h.torsion_generators
         if not gens:
             continue
-        fm = system_block_matrix(f.component(d)) if linearized else \
-            f.component(d).to_int_signed()
+        fm = f.component(d).to_int_signed()
         boundary_solver = LinearSolver(
             tgt.boundary_or_zero(d + f.shift + 1))
         for gen in gens:

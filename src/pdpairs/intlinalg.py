@@ -4,10 +4,12 @@ Everything here is pure arbitrary-precision integer arithmetic: Smith normal
 form with unimodular witnesses, kernel bases, integral linear solving, and
 homology of integer chain complexes.  IntMatrix is a dense list of rows and
 backs the Smith form, whose steps touch only the entries of D they change
-and are logged; the witnesses U, Uinv and V are replayed from the logs only
-for a caller that reads them.  A LinearSolver caches one SNF so repeated
-solves against the same matrix are cheap, and applies its witnesses over
-nonzero entries only.  homology_at takes one Smith form of d_out and one
+and are logged; one replay applies a log, inverted or transposed if asked,
+and the witnesses U, Uinv and V are replayed from the logs only for a
+caller that reads them.  A LinearSolver caches one SNF so repeated solves
+against the same matrix are cheap, and applies its witnesses over nonzero
+entries only; it shares with sparse_solve the division of U b by the
+invariant factors.  homology_at takes one Smith form of d_out and one
 of d_in in kernel coordinates, which it reads, like its generators, by
 replaying d_out's column log; it builds no U or V.  sparse_solve takes rows
 as dicts, eliminates unit pivots in Markowitz order from a candidate heap
@@ -79,26 +81,60 @@ def mat_vec(a: IntMatrix, v) -> list:
     return [sum(x * y for x, y in zip(row, v)) for row in a.data]
 
 
+def _replay(steps, rows, invert=False, transpose=False) -> list:
+    """Apply logged steps, in the order given, as row operations on rows.
+
+    Each step (kind, i, k, arg) is a block on rows (i, k): "add" is
+    [[1, q], [0, 1]], "mix" is [[a, b], [c, d]] (det 1), "swap" exchanges
+    the rows and "neg" negates row i.  invert applies each block's inverse
+    instead, transpose its transpose, and both together the transpose of
+    its inverse.  The rows of the input are not modified.
+    """
+    w = list(rows)
+    for kind, i, k, arg in steps:
+        if kind == "add":
+            q = -arg if invert else arg
+            if transpose:
+                i, k = k, i
+            w[i] = [x + q * y for x, y in zip(w[i], w[k])]
+        elif kind == "swap":
+            w[i], w[k] = w[k], w[i]
+        elif kind == "neg":
+            w[i] = [-x for x in w[i]]
+        else:
+            a, b, c, d = arg
+            if invert:
+                a, b, c, d = d, -b, -c, a
+            if transpose:
+                b, c = c, b
+            wi, wk = w[i], w[k]
+            w[i] = [a * x + b * y for x, y in zip(wi, wk)]
+            w[k] = [c * x + d * y for x, y in zip(wi, wk)]
+    return w
+
+
 @dataclass
 class SnfResult:
     """U * A * V = D with D diagonal in divisibility order.
 
     diag lists only the nonzero invariant factors; rank == len(diag).
     The elimination keeps no witness matrix, only two logs of its steps in
-    order, each step a tuple (kind, i, k, arg):
+    order, each step a tuple (kind, i, k, arg) that _replay reads as a
+    block on rows (i, k):
 
     - row_ops: ("add", i, k, q) for row i += q * row k, ("swap", i, k,
       None), ("neg", i, i, None), ("mix", i, k, (a, b, c, d)) for rows
-      (i, k) <- (a r_i + b r_k, c r_i + d r_k);
+      (i, k) <- (a r_i + b r_k, c r_i + d r_k), so U = E_t ... E_1;
     - col_ops: ("add", s, j, q) for col j += q * col s, ("swap", s, k,
       None), ("mix", i, j, (a, b, c, d)) for cols (i, j) <- (a c_i + c c_j,
-      b c_i + d c_j).
+      b c_i + d c_j), so V = E_1 ... E_t with E the same block.
 
-    Every mix has determinant 1.  U, Uinv and V are built the first time
-    they are read, by replaying a log on the identity, and then kept.
-    U_times, V_times and Vinv_times apply U, V and V^-1 to other matrices
-    by replaying a log, so a caller that needs only such products never
-    builds U or V.
+    U_times, V_times and Vinv_times apply U, V and V^-1 to the rows of
+    another matrix by one replay each, so a caller that needs only such
+    products never builds U or V.  U, V and Uinv are replays on the
+    identity, built the first time they are read and then kept; Uinv =
+    E_1^-1 ... E_t^-1 is the transpose of the inverse-transposed row log
+    replayed forwards.
     """
 
     diag: list
@@ -116,45 +152,13 @@ class SnfResult:
         return IntMatrix(m, m, self.U_times(IntMatrix.identity(m).data))
 
     def U_times(self, rows) -> list:
-        """U * W for W given as its m rows; returns the rows of the product.
-
-        U = E_t ... E_1 for the logged row operations E_1, ..., E_t, so
-        U * W applies E_1 first: the log runs forwards.  The rows of W are
-        not modified.
-        """
-        w = list(rows)
-        for kind, i, k, arg in self.row_ops:
-            if kind == "add":
-                w[i] = [x + arg * y for x, y in zip(w[i], w[k])]
-            elif kind == "swap":
-                w[i], w[k] = w[k], w[i]
-            elif kind == "neg":
-                w[i] = [-x for x in w[i]]
-            else:
-                a, b, c, d = arg
-                wi, wk = w[i], w[k]
-                w[i] = [a * x + b * y for x, y in zip(wi, wk)]
-                w[k] = [c * x + d * y for x, y in zip(wi, wk)]
-        return w
+        return _replay(self.row_ops, rows)
 
     @cached_property
     def Uinv(self) -> IntMatrix:
-        # row operation E on U is the column operation E^-1 on Uinv; keep
-        # Uinv as its list of columns, so each step is one comprehension
         m = self.shape[0]
-        cols = IntMatrix.identity(m).data
-        for kind, i, k, arg in self.row_ops:
-            if kind == "add":  # row i += q * row k
-                cols[k] = [x - arg * y for x, y in zip(cols[k], cols[i])]
-            elif kind == "swap":
-                cols[i], cols[k] = cols[k], cols[i]
-            elif kind == "neg":
-                cols[i] = [-x for x in cols[i]]
-            else:  # rows (i, k) <- t . rows (i, k), t = (a, b, c, d)
-                a, b, c, d = arg
-                ci, ck = cols[i], cols[k]
-                cols[i] = [x * d - y * c for x, y in zip(ci, ck)]
-                cols[k] = [-x * b + y * a for x, y in zip(ci, ck)]
+        cols = _replay(self.row_ops, IntMatrix.identity(m).data,
+                       invert=True, transpose=True)
         return IntMatrix(m, m, [list(r) for r in zip(*cols)])
 
     @cached_property
@@ -163,42 +167,10 @@ class SnfResult:
         return IntMatrix(n, n, self.V_times(IntMatrix.identity(n).data))
 
     def V_times(self, rows) -> list:
-        """V * W for W given as its n rows; returns the rows of the product.
-
-        V = E_1 ... E_t for the logged column operations E_1, ..., E_t, so
-        V * W applies E_t first: the log runs backwards, each step as a row
-        operation.  The rows of W are not modified.
-        """
-        w = list(rows)
-        for kind, i, j, arg in reversed(self.col_ops):
-            if kind == "add":  # E = 1 + q e_i e_j^T
-                w[i] = [x + arg * y for x, y in zip(w[i], w[j])]
-            elif kind == "swap":
-                w[i], w[j] = w[j], w[i]
-            else:  # E is [[a, b], [c, d]] on rows and columns (i, j)
-                a, b, c, d = arg
-                wi, wj = w[i], w[j]
-                w[i] = [a * x + b * y for x, y in zip(wi, wj)]
-                w[j] = [c * x + d * y for x, y in zip(wi, wj)]
-        return w
+        return _replay(reversed(self.col_ops), rows)
 
     def Vinv_times(self, rows) -> list:
-        """V^-1 * W for W given as its n rows; returns the rows of the
-        product.  V^-1 = E_t^-1 ... E_1^-1, so the log runs forwards, each
-        step inverted as a row operation.  The rows of W are not modified.
-        """
-        w = list(rows)
-        for kind, i, j, arg in self.col_ops:
-            if kind == "add":  # E^-1 = 1 - q e_i e_j^T
-                w[i] = [x - arg * y for x, y in zip(w[i], w[j])]
-            elif kind == "swap":
-                w[i], w[j] = w[j], w[i]
-            else:  # E^-1 is [[d, -b], [-c, a]], since det E = 1
-                a, b, c, d = arg
-                wi, wj = w[i], w[j]
-                w[i] = [d * x - b * y for x, y in zip(wi, wj)]
-                w[j] = [-c * x + a * y for x, y in zip(wi, wj)]
-        return w
+        return _replay(self.col_ops, rows, invert=True)
 
 
 def _xgcd(a, b):
@@ -331,6 +303,22 @@ def snf(A: IntMatrix) -> SnfResult:
     return SnfResult(diag, (m, n), log, col_log)
 
 
+def _divide(c, diag):
+    """y with y_i = c_i / diag_i over the rank, or None when some division
+    leaves a remainder or c is nonzero past the rank: the step from U b to
+    a solution y of D y = U b, which V then maps to A x = b."""
+    r = len(diag)
+    if any(c[r:]):
+        return None
+    y = []
+    for ci, di in zip(c, diag):
+        q, rem = divmod(ci, di)
+        if rem:
+            return None
+        y.append(q)
+    return y
+
+
 class LinearSolver:
     """Repeated exact solving of A x = b against a fixed A."""
 
@@ -350,17 +338,11 @@ class LinearSolver:
         # U b and V y over the nonzero entries only: right-hand sides are
         # mostly zero, and U and V are dense
         b_nz = [(j, x) for j, x in enumerate(b) if x]
-        c = [sum(row[j] * x for j, x in b_nz) for row in res.U.data]
-        y_nz = []
-        for i, ci in enumerate(c):
-            if i < res.rank:
-                q, r = divmod(ci, res.diag[i])
-                if r:
-                    return None
-                if q:
-                    y_nz.append((i, q))
-            elif ci:
-                return None
+        y = _divide([sum(row[j] * x for j, x in b_nz) for row in res.U.data],
+                    res.diag)
+        if y is None:
+            return None
+        y_nz = [(i, q) for i, q in enumerate(y) if q]
         return [sum(row[i] * q for i, q in y_nz) for row in res.V.data]
 
     def kernel_basis(self):
@@ -570,16 +552,11 @@ def sparse_solve(rows, ncols, rhs):
             for c, vv in rows[ri].items():
                 mat.data[k][col_pos[c]] = vv
         res = snf(mat)
-        y = []
-        for i, (ci,) in enumerate(res.U_times([[b[ri]] for ri in core_rows])):
-            if i < res.rank:
-                q, r = divmod(ci, res.diag[i])
-                if r:
-                    return None
-                y.append([q])
-            elif ci:
-                return None
-        y += [[0]] * (len(core_cols) - res.rank)
+        ub = res.U_times([[b[ri]] for ri in core_rows])
+        y = _divide([ci for (ci,) in ub], res.diag)
+        if y is None:
+            return None
+        y = [[q] for q in y] + [[0]] * (len(core_cols) - res.rank)
         for c, (x,) in zip(core_cols, res.V_times(y)):
             solution[c] = x
     for c, val, snapshot, bval in reversed(eliminated):

@@ -29,7 +29,6 @@ from .chains import (
     eliminate_units,
     find_contraction,
     is_nullhomotopic,
-    kills_homology,
     mapping_cone,
     verify_contraction,
 )
@@ -169,87 +168,21 @@ class LambdaTensor:
         return {a: v for a, v in out.items() if not v.is_zero()}
 
 
-class TensorChain:
-    """Element of Z^omega (x)_Lambda (C (x) D): integer coefficients on the
-    orbit triples."""
-
-    __slots__ = ("model", "terms")
-
-    def __init__(self, model, terms=None):
-        self.model = model
-        self.terms = {k: c for k, c in (terms or {}).items() if c}
-
-    @classmethod
-    def from_lambda_tensor(cls, tensor: LambdaTensor):
-        out = cls(tensor.model)
-        for key, coeff in tensor.terms.items():
-            c = coeff.aug_signed()
-            if c:
-                out.terms[key] = out.terms.get(key, 0) + c
-                if not out.terms[key]:
-                    del out.terms[key]
-        return out
-
-    def add_term(self, key, c: int):
-        if not c:
-            return
-        cur = self.terms.get(key, 0) + c
-        if cur:
-            self.terms[key] = cur
-        else:
-            self.terms.pop(key, None)
-
-    def scale(self, n: int):
-        return TensorChain(self.model, {k: c * n for k, c in self.terms.items()})
-
-    def __add__(self, other):
-        out = TensorChain(self.model, dict(self.terms))
-        for k, c in other.terms.items():
-            out.add_term(k, c)
-        return out
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def is_zero(self):
-        return not self.terms
-
-    def boundary(self, left_complex, right_complex):
-        model = self.model
-        out = TensorChain(model)
-        for (a, g, b), z in self.terms.items():
-            da, ia = a
-            db, ib = b
-            left_b = left_complex.boundary_or_zero(da)
-            for m in range(left_b.rows):
-                entry = left_b.data[m][ia]
-                for h, c in entry.support.items():
-                    tw = -1 if model.omega(h) else 1
-                    out.add_term(((da - 1, m), model.mul(model.inv(h), g), b),
-                                 z * c * tw)
-            sign = -1 if da % 2 else 1
-            right_b = right_complex.boundary_or_zero(db)
-            for m in range(right_b.rows):
-                entry = right_b.data[m][ib]
-                if entry.is_zero():
-                    continue
-                shifted = entry.translate(g)
-                for h, c in shifted.support.items():
-                    out.add_term((a, h, (db - 1, m)), z * c * sign)
-        return out
-
-
-def slant(model, phi_degree: int, phi_values, z: TensorChain):
+def slant(model, phi_degree: int, phi_values, z: LambdaTensor):
     """The twisted slant phi / z in B^omega (x) D coordinates, B = Lambda.
 
-    phi_values maps first-factor cell index -> Lambda value of the cochain;
-    the result maps second-factor cells to their twisted coordinates
-    mu_b = sum z * bar(g) * phi(a).
+    z is read in Z^omega (x)_Lambda (C (x) D): each term's coefficient
+    through its twisted augmentation.  phi_values maps first-factor cell
+    index -> Lambda value of the cochain; the result maps second-factor
+    cells to their twisted coordinates mu_b = sum z * bar(g) * phi(a).
     """
     out = {}
-    for (a, g, b), zc in z.terms.items():
+    for (a, g, b), coeff in z.terms.items():
         da, ia = a
         if da != phi_degree:
+            continue
+        zc = coeff.aug_signed()
+        if not zc:
             continue
         val = phi_values(ia)
         if val is None or val.is_zero():
@@ -666,8 +599,10 @@ class ChainPairData:
             return tensor.map_cells(lambda a: a, project)
         return tensor.map_cells(project, lambda b: b)
 
-    def class_tensor(self, x, side: str = "left") -> TensorChain:
-        """1 (x) Delta_rel(x) for an integer D_n-vector x."""
+    def class_tensor(self, x, side: str = "left") -> LambdaTensor:
+        """Delta_rel(x) for an integer D_n-vector x; its reduction
+        (aug_signed of each coefficient) is 1 (x) Delta_rel(x) in
+        Z^omega (x)_Lambda (P (x) D)."""
         n = self.dimension
         total = LambdaTensor(self.model)
         for j, c in enumerate(x):
@@ -675,7 +610,7 @@ class ChainPairData:
                 continue
             cell = (n, self._d_cells[n][j])
             total = total + self.relative_diagonal(cell, side).scale(c)
-        return TensorChain.from_lambda_tensor(total)
+        return total
 
     # -- cap products --------------------------------------------------------
 
@@ -702,7 +637,10 @@ class ChainPairData:
             if rows == 0 or cols == 0:
                 continue
             comps[-k] = LambdaMatrix.zero(self.model, rows, cols)
-        for (a, g, b), zc in z.terms.items():
+        for (a, g, b), coeff in z.terms.items():
+            zc = coeff.aug_signed()
+            if not zc:
+                continue
             da, ia = a
             m = comps.get(-da)
             if m is None:
@@ -927,11 +865,7 @@ def _maps_homotopy_equal(a: LambdaChainMap, b: LambdaChainMap, radius: int):
         v = is_nullhomotopic(a - b.scale(eps), radius)
         if v.found():
             return eps, "chain-homotopy"
-    if a.source.model.is_finite():
-        # homology-level comparison, exact
-        for eps in (1, -1):
-            if kills_homology(a - b.scale(eps), linearized=True) is None:
-                return eps, "linearized-homology"
+    if a.source.model.is_finite():  # is_nullhomotopic decides exactly
         return None, "fail"
     return None, "unknown"
 

@@ -19,10 +19,11 @@ was when each end choice built and eliminated its own integer system;
 augmentation_ideal_finite_reference is the relation lattice of I(G) for a
 finite table as it was read off system_block_matrix, and
 augmentation_ideal_reference is the whole presentation of I(G) as it was
-built by its own type dispatch; equal_on_linearized_homology_reference is
-the ladder's homology-level comparison as it was written apart from the
-Z^omega screen of is_nullhomotopic; spans_reference asks one column
-solver per column whether a module element is zero;
+built by its own type dispatch; tensor_chain_boundary_reference is the
+differential of Z^omega (x) (C (x) D) written on integer coefficients,
+against which the reduction of LambdaTensor.boundary is checked;
+spans_reference asks one column solver per column whether a module
+element is zero;
 verify_pd_finite_reference is verify_pd's finite branch as it was when
 it linearized the whole cone of the cap; quotient_reference,
 pair_maps_reference, component_subcomplex_reference,
@@ -574,30 +575,35 @@ def augmentation_ideal_reference(model):
     raise ModuleError(f"no augmentation ideal presentation for {model!r}")
 
 
-def equal_on_linearized_homology_reference(a, b):
-    """Whether chain maps a and b over a finite model agree on the homology
-    of the linearized complexes, compared degree by degree on generators;
-    the ladder's homology-level fallback as it was, kept verbatim."""
-    from pdpairs.chains import system_block_matrix
-    from pdpairs.intlinalg import LinearSolver, mat_vec
-    src = a.source.linearized()
-    tgt = a.target.linearized()
-    for d in a.source.degrees():
-        h = src.homology(d)
-        gens = h.free_generators + h.torsion_generators
-        if not gens:
-            continue
-        am = system_block_matrix(a.component(d))
-        bm = system_block_matrix(b.component(d))
-        tgt_b = tgt.boundary_or_zero(d + a.shift + 1)
-        solver = LinearSolver(tgt_b)
-        for g in gens:
-            av = mat_vec(am, g) if am.rows else []
-            bv = mat_vec(bm, g) if bm.rows else []
-            diff = [p - q for p, q in zip(av, bv)]
-            if any(diff) and solver.solve(diff) is None:
-                return False
-    return True
+def tensor_chain_boundary_reference(model, terms, left, right):
+    """The differential of Z^omega (x)_Lambda (C (x) D) on integer
+    coefficients keyed by orbit triples, as the Z^omega tensor chain
+    computed it apart from LambdaTensor: a left boundary entry h picks up
+    the sign (-1)^omega(h), a right one the Koszul sign of the left
+    degree.  Zero coefficients are dropped."""
+    out = {}
+
+    def add(key, c):
+        cur = out.get(key, 0) + c
+        if cur:
+            out[key] = cur
+        else:
+            out.pop(key, None)
+
+    for (a, g, b), z in terms.items():
+        da, ia = a
+        db, ib = b
+        left_b = left.boundary_or_zero(da)
+        for m in range(left_b.rows):
+            for h, c in left_b.data[m][ia].support.items():
+                tw = -1 if model.omega(h) else 1
+                add(((da - 1, m), model.mul(model.inv(h), g), b), z * c * tw)
+        sign = -1 if da % 2 else 1
+        right_b = right.boundary_or_zero(db)
+        for m in range(right_b.rows):
+            for h, c in right_b.data[m][ib].translate(g).support.items():
+                add((a, h, (db - 1, m)), z * c * sign)
+    return out
 
 
 def spans_reference(relations, m, radius=4):

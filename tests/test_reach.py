@@ -84,10 +84,7 @@ UNREACHED = frozenset({
     # pairs: the splitting criterion, the cap-top identity and tensor helpers,
     # reachable only from tests
     "pairs.LadderReport.sign_table", "pairs.LambdaTensor.__eq__",
-    "pairs.SumConditions.all_pass", "pairs.TensorChain.__add__",
-    "pairs.TensorChain.__sub__", "pairs.TensorChain.add_term",
-    "pairs.TensorChain.boundary", "pairs.TensorChain.is_zero",
-    "pairs.TensorChain.scale", "pairs._auto_components.<locals>.find",
+    "pairs.SumConditions.all_pass", "pairs._auto_components.<locals>.find",
     "pairs._auto_components.<locals>.union", "pairs._by_degree",
     "pairs._mayer_vietoris_connecting",
     "pairs._mayer_vietoris_connecting.<locals>.b0_part",
