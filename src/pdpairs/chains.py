@@ -347,7 +347,12 @@ class LambdaLinearSystem:
     coefficients are multiples of N linearizes to |pi| identical rows, one
     per h.  A lens space's d_2 is N, so such copies are most of nu's
     equations and all of a realized diagonal's residual; sparse_solve gets
-    each distinct equation once.
+    each distinct equation once.  Over an abelian model whose equations
+    left after elimination are all of that form, each is stated once, one
+    row per distinct right-hand side value (_norm_rows), with no row
+    expanded; otherwise they are linearized and the copies dropped, the
+    general path, kept as the fallback.  Both give the same rows in the
+    same order.
     """
 
     def __init__(self, model: GroupModel):
@@ -604,7 +609,8 @@ class LambdaLinearSystem:
         Over a finite model each distinct (row, right-hand side) is kept
         once, first occurrences in order: the norm element's copies (see
         the class docstring) go, while rows that differ only on the right
-        still refute the system."""
+        still refute the system.  _norm_rows builds them without the copies
+        when it can."""
         parts, n = self._statement()
         if not self.model.is_finite():
             kept = list(range(n))
@@ -615,10 +621,84 @@ class LambdaLinearSystem:
         parts, log = reduced
         gone = {entry[0] for entry in log}
         kept = [k for k in range(n) if k not in gone]
+        direct = self._norm_rows(parts, support, kept)
+        if direct is not None:
+            return (*direct, kept, log)
         distinct = {}
         for row, b in zip(*self._linearize(parts, support, kept)):
             distinct.setdefault((frozenset(row.items()), b), row)
         return list(distinct.values()), [b for _, b in distinct], kept, log
+
+    def _norm_rows(self, parts, support, kept):
+        """The rows and right-hand side that _linearize and the
+        de-duplication give, built from the equations over Lambda; None
+        unless the model is abelian and each unknown's operator in each
+        equation is 0 or d N.
+
+        Over an abelian group u g w = g (u w), so the operator on X in
+        equation e is a_X = sum c . u w, and row (e, h) holds a_X(g^-1 h) at
+        X's column g.  For a_X = d_X N that is d_X at every g, whatever h:
+        e's rows differ only in b_h, one row per distinct value, b_h = 0 off
+        b's support once some term reaches e (then every h is reached).
+
+        Each row goes where its first copy would.  _linearize's loops nest,
+        so the tuple (cid, phase, loop indices) of the step that first
+        reaches a row orders the rows as their first appearance does.  A
+        value of b first appears in the values phase, at its place in b;
+        the value 0 at the first step, in the order (block, g, column term,
+        row term), of the first block reaching e that lands outside b.
+        """
+        model = self.model
+        one = model.identity()
+        if any(c != one for c, _ in _central_cosets(model).values()):
+            return None
+        mul = model.mul
+        ns = len(support)
+        start = {k: i * ns for i, k in enumerate(kept)}
+        first = {}  # ((X, d_X) pairs, b_h) -> index of its first step
+        for cid, values, blocks in parts:
+            ops = {}  # (r, s) -> {X: {u w: coefficient}}
+            reach = {}  # (r, s) -> (block, [(ci, ri, u, w)]), first block
+            for bi, (k, coeff, column, row) in enumerate(blocks):
+                for ci, (rr, w, cw) in enumerate(column):
+                    for ri, (ss, u, cu) in enumerate(row):
+                        a = ops.setdefault((rr, ss), {}).setdefault(k, {})
+                        uw = mul(u, w)
+                        a[uw] = a.get(uw, 0) + coeff * cu * cw
+                        steps = reach.setdefault((rr, ss), (bi, []))
+                        if steps[0] == bi:
+                            steps[1].append((ci, ri, u, w))
+            multiples = {}  # (r, s) -> frozenset of (X, d_X)
+            for e, terms in ops.items():
+                lhs = []
+                for k, a in terms.items():
+                    cs = [c for c in a.values() if c]
+                    if not cs:
+                        continue
+                    if len(cs) != ns or cs.count(cs[0]) != ns:
+                        return None
+                    lhs.append((k, cs[0]))
+                multiples[e] = frozenset(lhs)
+            rhs = {}
+            for i, (r, s, b) in enumerate(values):
+                rhs[r, s] = b
+                lhs = multiples.get((r, s), frozenset())
+                for j, c in enumerate(b.values()):
+                    first.setdefault((lhs, c), (cid, 0, i, j))
+            for e, (bi, steps) in reach.items():
+                b = rhs.get(e, {})
+                if len(b) == ns:
+                    continue
+                at = next((cid, 1, bi, gi, ci, ri)
+                          for gi, g in enumerate(support)
+                          for ci, ri, u, w in steps
+                          if mul(mul(u, g), w) not in b)
+                key = (multiples[e], 0)
+                first[key] = min(first.get(key, at), at)
+        order = sorted(first, key=first.get)
+        rows = [{start[k] + gi: d for k, d in lhs for gi in range(ns)}
+                for lhs, _ in order]
+        return rows, [c for _, c in order]
 
     def solve(self, radius: int = 4):
         """A solution with entries supported on model.ball(radius), as a

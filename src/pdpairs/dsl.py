@@ -338,7 +338,7 @@ class Parser:
 
     def parse_entry(self):
         """Lambda-expression AST: list of (coeff, word) with word a list of
-        (gen, power)."""
+        letters (gen, power, line, col)."""
         terms = []
         sign = 1
         if self.at_punct("-"):
@@ -385,7 +385,9 @@ class Parser:
         return word
 
     def parse_letter(self):
-        name = self.expect_name().text
+        """(name, power, line, col), at the position of the name."""
+        t = self.expect_name()
+        name = t.text
         power = 1
         if self.at_punct("^"):
             self.next()
@@ -396,7 +398,7 @@ class Parser:
             power = self.expect_int()
             if neg:
                 power = -power
-        return (name, power)
+        return (name, power, t.line, t.col)
 
     def parse_matrix(self):
         self.expect_punct("[")
@@ -656,6 +658,10 @@ def parse(text: str) -> Document:
 # the largest p that `cyclic(p, g)` accepts: its model holds a p x p table
 CYCLIC_ORDER_LIMIT = 1024
 
+# the largest total |power| of one word over a model whose keys grow with
+# it: a^1000000000000 over free(a) would be a key of 10^12 letters
+WORD_POWER_LIMIT = 10000
+
 
 @dataclass
 class Scenario:
@@ -721,16 +727,23 @@ def generator_names(model: GroupModel) -> dict:
     return names
 
 
-def word_to_key(model: GroupModel, names: dict, word, span=(0, 0)):
-    """The key of word over model, names its generator_names."""
+def word_to_key(model: GroupModel, names: dict, word):
+    """The key of word over model, names its generator_names; each error
+    gives the line:col of the letter at fault, or of the word's first."""
+    if model.keys_grow_with_power and word:
+        total = sum(abs(power) for _, power, _, _ in word)
+        if total > WORD_POWER_LIMIT:
+            raise SemanticError(
+                f"word of total power {total} exceeds the limit "
+                f"{WORD_POWER_LIMIT} over a {model.kind} group", *word[0][2:])
     key = model.identity()
-    for name, power in word:
+    for name, power, line, col in word:
         if name not in names:
-            raise SemanticError(f"unknown generator {name!r}", *span)
+            raise SemanticError(f"unknown generator {name!r}", line, col)
         g = names[name]
         if g is None:
             raise SemanticError(
-                f"generator {name!r} appears in both free factors", *span)
+                f"generator {name!r} appears in both free factors", line, col)
         if power < 0:
             g = model.inv(g)
             power = -power
@@ -743,11 +756,10 @@ def word_to_key(model: GroupModel, names: dict, word, span=(0, 0)):
     return key
 
 
-def entry_to_ring(model: GroupModel, names: dict, entry_ast,
-                  span=(0, 0)) -> RingElem:
+def entry_to_ring(model: GroupModel, names: dict, entry_ast) -> RingElem:
     out = model.zero()
     for coeff, word in entry_ast:
-        key = word_to_key(model, names, word, span)
+        key = word_to_key(model, names, word)
         out = out + model.unit(key, coeff)
     return out
 
@@ -782,7 +794,7 @@ def elaborate(doc: Document) -> Scenario:
                         f"boundary {d} of complex {decl.name!r} has a row of "
                         f"width {len(row)}, expected {want_cols}", *span)
             boundary[d] = LambdaMatrix.from_rows(
-                model, [[entry_to_ring(model, table, e, span) for e in row]
+                model, [[entry_to_ring(model, table, e) for e in row]
                         for row in rows])
         aug = None
         if decl.augmentation is not None:
@@ -790,7 +802,7 @@ def elaborate(doc: Document) -> Scenario:
                 raise SemanticError(
                     f"augmentation of {decl.name!r} has wrong length",
                     *decl.span)
-            aug = [entry_to_ring(model, table, e, decl.span)
+            aug = [entry_to_ring(model, table, e)
                    for e in decl.augmentation]
         try:
             complexes[decl.name] = LambdaComplex(
@@ -836,8 +848,8 @@ def _build_pair(decl: PairDecl, groups, complexes,
                                 *decl.span)
         tensor = LambdaTensor(model)
         for coeff_ast, left, word, right in tensor_ast:
-            coeff = entry_to_ring(model, names, coeff_ast, decl.span)
-            key = word_to_key(model, names, word, decl.span)
+            coeff = entry_to_ring(model, names, coeff_ast)
+            key = word_to_key(model, names, word)
             try:
                 lcell = complex_.cell_index(left)
                 rcell = complex_.cell_index(right)
@@ -859,7 +871,7 @@ def _build_pair(decl: PairDecl, groups, complexes,
                 GroupDecl("", cd.group[0], cd.group[1], {}, cd.span), groups)
         kappa = {}
         for gen, entry in cd.kappa.items():
-            ring = entry_to_ring(model, names, entry, cd.span)
+            ring = entry_to_ring(model, names, entry)
             unit = ring.is_unit_monomial()
             if unit is None or unit[1] != 1:
                 raise SemanticError(
@@ -889,8 +901,7 @@ def _build_delta_pair(decl: DeltaDecl, groups, tables) -> ChainPairData:
                 raise SemanticError(f"edge {name!r}: unknown vertex {v!r}",
                                     *decl.span)
         simplices[name] = Simplex(name, 1, (v0, v1),
-                                  word_to_key(model, names, word,
-                                              decl.span))
+                                  word_to_key(model, names, word))
     for name, faces in decl.triangles.items():
         simplices[name] = Simplex(name, 2, faces)
     dc = DeltaComplexInput(model, list(decl.vertices), simplices,
@@ -997,7 +1008,7 @@ def print_document(doc: Document) -> str:
 
 def _print_word(word):
     parts = []
-    for name, power in word:
+    for name, power, _, _ in word:
         parts.append(name if power == 1 else f"{name}^{power}")
     return "*".join(parts) if parts else "1"
 

@@ -27,6 +27,8 @@ class GroupModel:
     """
 
     kind = "group"
+    # whether the key of g^n grows with n, as a reduced word's does
+    keys_grow_with_power = False
 
     def identity(self):
         raise NotImplementedError
@@ -261,6 +263,7 @@ class FreeGroup(GroupModel):
     """Free group; keys are reduced words, tuples of (gen_index, +-1)."""
 
     kind = "free"
+    keys_grow_with_power = True
 
     def __init__(self, gen_names, omega_gens=None):
         self.gen_names = tuple(gen_names)
@@ -483,6 +486,10 @@ class FreeProduct(GroupModel):
         self.left = left
         self.right = right
         self.children = (left, right)
+
+    @property
+    def keys_grow_with_power(self):
+        return any(child.keys_grow_with_power for child in self.children)
 
     def identity(self):
         return ()

@@ -23,7 +23,9 @@ built by its own type dispatch; tensor_chain_boundary_reference is the
 differential of Z^omega (x) (C (x) D) written on integer coefficients,
 against which the reduction of LambdaTensor.boundary is checked;
 spans_reference asks one column solver per column whether a module
-element is zero;
+element is zero; integer_system_reference is a finite LambdaLinearSystem's
+integer system as it was built before norm-multiple equations were stated
+once, every row linearized and each distinct one kept at its first copy;
 verify_pd_finite_reference is verify_pd's finite branch as it was when
 it linearized the whole cone of the cap; quotient_reference,
 pair_maps_reference, component_subcomplex_reference,
@@ -618,6 +620,24 @@ def spans_reference(relations, m, radius=4):
         if LambdaColumnSolver(relations, radius).solve(col) is None:
             return False
     return True
+
+
+def integer_system_reference(system, support):
+    """(rows, rhs, kept, log) of a LambdaLinearSystem over a finite model,
+    or None when Lambda-level elimination refutes it: _linearize on the
+    residual of _eliminate, then each distinct (row, right-hand side) at
+    its first occurrence."""
+    parts, n = system._statement()
+    reduced = system._eliminate(parts)
+    if reduced is None:
+        return None
+    parts, log = reduced
+    gone = {entry[0] for entry in log}
+    kept = [k for k in range(n) if k not in gone]
+    distinct = {}
+    for row, b in zip(*system._linearize(parts, support, kept)):
+        distinct.setdefault((frozenset(row.items()), b), row)
+    return list(distinct.values()), [b for _, b in distinct], kept, log
 
 
 def verify_pd_finite_reference(pair, x):

@@ -883,6 +883,147 @@ def test_repeated_integer_equations_reach_sparse_solve_once(monkeypatch):
     assert sol is None and seen[1] == (2, [3, 2])
 
 
+def _norm_paths(monkeypatch):
+    """For each _norm_rows call, in order, whether it built the integer
+    system itself (True) or left it to _linearize (False)."""
+    taken = []
+    real = LambdaLinearSystem._norm_rows
+
+    def spy(self, parts, support, kept):
+        out = real(self, parts, support, kept)
+        taken.append(out is not None)
+        return out
+
+    monkeypatch.setattr(LambdaLinearSystem, "_norm_rows", spy)
+    return taken
+
+
+def test_finite_integer_systems_match_the_general_path(monkeypatch):
+    # every finite system of nu on L(2..13,1) and of realizing L(7..9,1)
+    # reaches sparse_solve as the rows _linearize and de-duplication give,
+    # in their order; nu's take the norm-multiple path, realize's both
+    from oracles import integer_system_reference
+    from pdpairs.catalog import build_lens
+    from pdpairs.invariants import nu_of_pair, nu_verdict
+    from pdpairs.pairs import verify_pd
+    from pdpairs.sums import export_realization_input, realize_free_case
+    taken = _norm_paths(monkeypatch)
+    real = LambdaLinearSystem._integer_system
+
+    def check(self, support):
+        out = real(self, support)
+        assert self.model.is_finite()
+        assert out == integer_system_reference(self, support)
+        return out
+
+    monkeypatch.setattr(LambdaLinearSystem, "_integer_system", check)
+    for p in range(2, 14):
+        pair = build_lens(p)
+        nu_verdict(nu_of_pair(pair, verify_pd(pair).fundamental_class))
+    assert len(taken) == 12 and all(taken)
+    taken.clear()
+    for p in (7, 8, 9):
+        pair = build_lens(p)
+        realize_free_case(export_realization_input(pair, verify_pd(pair)))
+    assert any(taken) and not all(taken)
+
+
+@pytest.mark.parametrize("group", sorted(ELIMINATION_GROUPS))
+def test_random_integer_systems_match_the_general_path(group, monkeypatch):
+    # S3 is not abelian and always takes the general path; over the trivial
+    # group every coefficient is a multiple of N = 1
+    from oracles import integer_system_reference
+    model = ELIMINATION_GROUPS[group]
+    support = model.ball(0)
+    taken = _norm_paths(monkeypatch)
+    rng = random.Random(f"norm-rows-{group}")
+    for _ in range(40):
+        system = _random_lambda_system(model, rng)
+        assert system._integer_system(support) == \
+            integer_system_reference(system, support)
+    assert set(taken) == {"1": {True}, "S3": {False}}.get(group,
+                                                          {True, False})
+
+
+def test_norm_multiple_equation_keeps_each_right_hand_side(monkeypatch):
+    # over C5, N . X = 3N + g: its five rows read N . X, with right-hand
+    # side 4 at g and 3 elsewhere.  Both values reach sparse_solve, in the
+    # order of their first copies, and together refute the system.
+    from oracles import integer_system_reference
+    model = FiniteTable.cyclic(5, "g")
+    support = model.ball(0)
+    norm = LambdaMatrix.from_rows(model, [[_norm(model)]])
+    system = LambdaLinearSystem(model)
+    system.add_var("x", 1, 1)
+    system.add_constraint([(1, norm, "x", None)], norm.scale(3) +
+                          LambdaMatrix.from_rows(model, [[model.unit(1)]]))
+    taken = _norm_paths(monkeypatch)
+    got = system._integer_system(support)
+    assert taken == [True]
+    assert got == integer_system_reference(system, support)
+    assert got[:2] == ([dict.fromkeys(range(5), 1)] * 2, [3, 4])
+    assert system.solve() is None
+
+
+def test_cancelled_norm_equation_keeps_its_empty_row(monkeypatch):
+    # N . X - N . X = 0 leaves equation 0 with no unknown: its rows are
+    # empty, and the one kept stays row 0, ahead of N . Y = 2N's
+    from oracles import integer_system_reference
+    model = FiniteTable.cyclic(3, "g")
+    support = model.ball(0)
+    norm = LambdaMatrix.from_rows(model, [[_norm(model)]])
+    system = LambdaLinearSystem(model)
+    system.add_var("x", 1, 1)
+    system.add_var("y", 1, 1)
+    system.add_constraint([(1, norm, "x", None), (-1, norm, "x", None)],
+                          LambdaMatrix.zero(model, 1, 1))
+    system.add_constraint([(1, norm, "y", None)], norm.scale(2))
+    taken = _norm_paths(monkeypatch)
+    got = system._integer_system(support)
+    assert taken == [True]
+    assert got == integer_system_reference(system, support)
+    assert got[:2] == ([{}, dict.fromkeys(range(3, 6), 1)], [0, 2])
+    assert system.solve()["y"].data[0][0].aug() == 2
+
+
+def test_norm_rows_go_where_their_first_copies_do(monkeypatch):
+    from oracles import integer_system_reference
+    model = FiniteTable.cyclic(3, "g")
+    support = model.ball(0)
+    g, one = model.unit(1), model.one()
+    norm = _norm(model)
+    zero = LambdaMatrix.zero(model, 1, 1)
+    taken = _norm_paths(monkeypatch)
+    # N . X = 0 is stated twice, with N . Y = 3N between: X's zero row is
+    # placed by its first statement, not its last
+    system = LambdaLinearSystem(model)
+    system.add_var("x", 1, 1)
+    system.add_var("y", 1, 1)
+    n = LambdaMatrix.from_rows(model, [[norm]])
+    system.add_constraint([(1, n, "x", None)], zero)
+    system.add_constraint([(1, n, "y", None)], n.scale(3))
+    system.add_constraint([(1, n, "x", None)], zero)
+    got = system._integer_system(support)
+    assert got == integer_system_reference(system, support)
+    assert got[1] == [0, 3]
+    # X . [1, 2N] + X . [g + g^2, 0] = [1, 0]: the first term reaches
+    # equation (0, 0) first, but only at h = 1 for g = 1, where its
+    # right-hand side is not 0; equation (0, 1), 2N . X = 0, reaches its
+    # zero row at g = 1, before (0, 0) does at g = g
+    system = LambdaLinearSystem(model)
+    system.add_var("x", 1, 1)
+    system.add_constraint(
+        [(1, None, "x", LambdaMatrix.from_rows(model, [[one, norm * 2]])),
+         (1, None, "x", LambdaMatrix.from_rows(model, [[g + g * g,
+                                                        model.zero()]]))],
+        LambdaMatrix.from_rows(model, [[one, model.zero()]]))
+    got = system._integer_system(support)
+    assert got == integer_system_reference(system, support)
+    assert [set(row.values()) for row in got[0]] == [{1}, {2}, {1}]
+    assert got[1] == [1, 0, 0]
+    assert taken == [True, True]
+
+
 # (count, sha256) of every LambdaLinearSystem.solve result while computing
 # nu of L(p,1), p = 2..13, and realizing L(7..9,1), each result the entries
 # of each variable in var_order (their supports in order) or None, as

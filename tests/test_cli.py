@@ -194,7 +194,7 @@ MALFORMED = [
      "group A = cyclic-infinite(t)\ngroup B = cyclic-infinite(t)\n"
      "group G = free-product(A, B)\ncomplex P over G { basis { 0: v; 1: e }"
      " boundary 1 [[t - 1]] augmentation [1] }\n",
-     "4:41: generator 't' appears in both free factors"),
+     "4:54: generator 't' appears in both free factors"),
     ("repeated-free-generator",
      "group F = free(a, a)\ncomplex P over F { basis { 0: v; 1: e }"
      " boundary 1 [[a - 1]] augmentation [1] }\n",
@@ -211,6 +211,15 @@ MALFORMED = [
      "group Z = cyclic-infinite(t)\ncomplex P over Z { basis { 0: v; 1: e }"
      " boundary 1 [[t^1000000000000]] augmentation [1] }\n",
      "2:1: complex 'P': augmentation does not kill d1"),
+    ("unknown-generator",
+     "group Z = cyclic-infinite(t)\ncomplex P over Z { basis { 0: v; 1: e }\n"
+     "  boundary 1 [[1 + k - t]] augmentation [1] }\n",
+     "3:20: unknown generator 'k'"),
+    ("word-power-over-the-limit",
+     "group F = free(a, b)\ncomplex P over F { basis { 0: v; 1: e }"
+     " boundary 1 [[a*b^1000000000000 - 1]] augmentation [1] }\n",
+     "2:54: word of total power 1000000000001 exceeds the limit 10000 over "
+     "a free group"),
 ]
 
 

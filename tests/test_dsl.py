@@ -157,8 +157,10 @@ def _count_mul(monkeypatch, model):
 
 
 def _word_to_key(model, word):
+    """word_to_key on (name, power) letters, each placed at 1:1."""
     from pdpairs.dsl import generator_names, word_to_key
-    return word_to_key(model, generator_names(model), word)
+    return word_to_key(model, generator_names(model),
+                       [(name, power, 1, 1) for name, power in word])
 
 
 def test_word_to_key_raises_to_large_powers_by_squaring(monkeypatch):
@@ -190,6 +192,26 @@ def test_word_to_key_small_powers_match_repeated_products():
             assert _word_to_key(model, [(name, power)]) == key
 
 
+def test_word_power_limit_is_checked_before_any_product(monkeypatch):
+    from pdpairs import dsl
+    from pdpairs.groups import FreeGroup, FreeProduct, InfiniteCyclic
+    limit = dsl.WORD_POWER_LIMIT
+    free = FreeGroup(["a", "b"])
+    assert len(_word_to_key(free, [("a", limit - 1), ("b", -1)])) == limit
+    calls = _count_mul(monkeypatch, free)
+    with pytest.raises(SemanticError, match=f"^1:1: word of total power "
+                                            f"{limit + 1} exceeds the limit"):
+        _word_to_key(free, [("a", limit), ("b", -1)])
+    assert calls == []
+    # a free factor makes a free product's keys grow; over Z * Z a power is
+    # one letter, however large
+    s, t = InfiniteCyclic("s"), InfiniteCyclic("t")
+    with pytest.raises(SemanticError, match="exceeds the limit"):
+        _word_to_key(FreeProduct(s, FreeGroup(["a"])), [("a", limit + 1)])
+    assert _word_to_key(FreeProduct(s, t), [("t", 10 ** 12)]) == \
+        ((1, 10 ** 12),)
+
+
 def test_cyclic_order_limit_is_checked_before_the_table(monkeypatch):
     from pdpairs import dsl
     # ROADMAP item 7's L(p, 1) series runs to p = 640
@@ -211,7 +233,7 @@ def test_shared_free_factor_name_fails_at_the_word_that_uses_it():
     d1 = load_scenario(head + body.format("a - 1")).complexes["P"]
     assert d1.boundary_or_zero(1).data[0][0].support == {((0, ((0, 1),)),): 1,
                                                          (): -1}
-    with pytest.raises(SemanticError, match="^4:41: generator 't' appears"):
+    with pytest.raises(SemanticError, match="^4:56: generator 't' appears"):
         load_scenario(head + body.format("a*t - 1"))
 
 

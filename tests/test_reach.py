@@ -42,7 +42,8 @@ UNREACHED = frozenset({
     "dsl._print_matrix", "dsl._print_tensor", "dsl._print_word",
     "dsl.print_document",
     # groups: abstract GroupModel methods, models no fixture declares (free,
-    # free-abelian, S3) and test-only ring helpers
+    # free-abelian, S3), the word budget over free products, which no
+    # fixture declares either, and test-only ring helpers
     "groups.FiniteTable.__repr__", "groups.FiniteTable.letters",
     "groups.FiniteTable.symmetric3",
     "groups.FiniteTable.symmetric3.<locals>.compose",
@@ -59,6 +60,7 @@ UNREACHED = frozenset({
     "groups.FreeGroup.named_generators", "groups.FreeGroup.omega",
     "groups.FreeGroup.word_length", "groups.FreeProduct.__hash__",
     "groups.FreeProduct.__repr__", "groups.FreeProduct.embed_word",
+    "groups.FreeProduct.keys_grow_with_power",
     "groups.FreeProduct.named_generators", "groups.GroupModel.elements",
     "groups.GroupModel.format_elem", "groups.GroupModel.identity",
     "groups.GroupModel.inv", "groups.GroupModel.letters",
