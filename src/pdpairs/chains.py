@@ -963,6 +963,67 @@ def embed_ring(r: RingElem, target_model) -> RingElem:
     return RingElem(target_model, {embed(g): c for g, c in r.support.items()})
 
 
+class CoverContraction:
+    """A Z-linear contracting homotopy s of the universal cover of a
+    complex over a finite model, in degrees 0 to 2.
+
+    The cover's chains of degree d have the Z-basis g.e, for g in the group
+    and e a d-cell.  s(e, g) is the image of g.e, a dict {(cell, g'): n}
+    of degree d + 1, and d s + s d = 1 - eta eps, where eps is the
+    augmentation and eta(1) = v0, the first vertex of augmentation 1.  Each
+    s(e, g) solves d y = g.e - s(d(g.e)) - eta eps(g.e) on the linearized
+    complex, with one LinearSolver per degree, and is memoised.  The right
+    side is a cycle, so a solve fails only when the cover has homology in
+    that degree (reduced homology in degree 0); s then returns None.
+    Brown, Cohomology of Groups, ch. I, section 7.
+    """
+
+    def __init__(self, complex_: LambdaComplex):
+        self.complex = complex_
+        self.elems = _finite_order(complex_.model)
+        self.index = {g: k for k, g in enumerate(self.elems)}
+        lin = complex_.linearized()
+        self.solvers = {d: LinearSolver(lin.boundary_or_zero(d + 1))
+                        for d in range(3)}
+        self.base = next(((0, i) for i, e in
+                          enumerate(complex_.augmentation or ())
+                          if e.aug() == 1), None)
+        self.memo = {}
+
+    def __call__(self, cell, g):
+        key = (cell, g)
+        if key not in self.memo:
+            self.memo[key] = self._solve(cell, g)
+        return self.memo[key]
+
+    def _solve(self, cell, g):
+        complex_, index = self.complex, self.index
+        model = complex_.model
+        n = len(self.elems)
+        d, i = cell
+        b = [0] * (complex_.rank(d) * n)
+        b[i * n + index[g]] = 1
+        if d == 0:
+            eps = complex_.augmentation[i].aug()
+            if eps:
+                if self.base is None:
+                    return None
+                b[self.base[1] * n + index[model.identity()]] -= eps
+        bd = complex_.boundary_or_zero(d)
+        for m in range(bd.rows):
+            for w, c in bd.data[m][i].support.items():
+                lower = self((d - 1, m), model.mul(g, w))
+                if lower is None:
+                    return None
+                for (low, h), k in lower.items():
+                    b[low[1] * n + index[h]] -= c * k
+        y = self.solvers[d].solve(b)
+        if y is None:
+            return None
+        return {((d + 1, j // n), self.elems[j % n]): v
+                for j, v in enumerate(y) if v}
+
+
 class LambdaChainMap:
     """Degree-shifting chain map; components[d] maps C_d to D_{d+shift}."""
 

@@ -634,11 +634,6 @@ class RingElem:
             return self * other
         return NotImplemented
 
-    def translate(self, key):
-        """Left multiplication by key."""
-        m = self.model
-        return RingElem(m, {m.mul(key, g): c for g, c in self.support.items()})
-
     def bar(self):
         """The twisted involution: g -> (-1)^omega(g) g^{-1}, Z-linearly."""
         m = self.model

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .chains import (
+    CoverContraction,
     IntComplex,
     LambdaChainMap,
     LambdaComplex,
@@ -112,28 +113,48 @@ class LambdaTensor:
         return out
 
     def boundary(self, left_complex, right_complex):
-        """Boundary for the (x)-differential with the diagonal action."""
+        """Boundary for the (x)-differential with the diagonal action.
+
+        Sums integer supports per key and builds one RingElem per key at
+        the end; keys and supports come out in add_term's order, a key or
+        group element that cancels re-entering at the end.
+        """
         model = self.model
-        out = LambdaTensor(model)
+        mul, inv = model.mul, model.inv
+        acc = {}
+
+        def add(key, items):
+            cur = acc.get(key)
+            if cur is None:
+                acc[key] = dict(items)
+                return
+            for k, c in items:
+                c += cur.get(k, 0)
+                if c:
+                    cur[k] = c
+                else:
+                    del cur[k]
+            if not cur:
+                del acc[key]
+
         for (a, g, b), coeff in self.terms.items():
             da, ia = a
             db, ib = b
+            support = coeff.support
             left_b = left_complex.boundary_or_zero(da)
             for m in range(left_b.rows):
-                entry = left_b.data[m][ia]
-                for h, c in entry.support.items():
+                for h, c in left_b.data[m][ia].support.items():
                     # (h e_m (x) g e_b) = h (e_m (x) h^{-1} g e_b)
-                    out.add_term((da - 1, m), model.mul(model.inv(h), g), b,
-                                 coeff * model.unit(h, c))
+                    add(((da - 1, m), mul(inv(h), g), b),
+                        [(mul(k, h), x * c) for k, x in support.items()])
             sign = -1 if da % 2 else 1
             right_b = right_complex.boundary_or_zero(db)
             for m in range(right_b.rows):
-                entry = right_b.data[m][ib]
-                if entry.is_zero():
-                    continue
-                shifted = entry.translate(g)
-                for h, c in shifted.support.items():
-                    out.add_term(a, h, (db - 1, m), coeff * (sign * c))
+                for w, c in right_b.data[m][ib].support.items():
+                    add((a, mul(g, w), (db - 1, m)),
+                        [(k, x * sign * c) for k, x in support.items()])
+        out = LambdaTensor(model)
+        out.terms = {key: RingElem(model, sup) for key, sup in acc.items()}
         return out
 
     def left_counit(self, left_complex):
@@ -251,21 +272,18 @@ def solve_diagonal_cell(complex_: LambdaComplex, diagonal: dict, cell,
     is one LambdaLinearSystem M x = deficit on the same ball.  Over a
     finite group its solve first eliminates, over Lambda, the middle terms
     whose coefficient in some row is a single unit +-g (for L(p,1) 2p - 2
-    of 2p, leaving a p^2 x 2p integer system of the 3p^2 x 2p^2), then the
-    sparse engine takes unit pivots in Markowitz order and a Smith form of
-    the small residual core only.  Returns a validated LambdaTensor or
-    None.
+    of 2p), and states each distinct integer equation of those left once
+    (for L(p,1) 1 x 2p of the 3p^2 x 2p^2 system), then the sparse engine
+    takes unit pivots in Markowitz order and a Smith form of the small
+    residual core only.  Returns a validated LambdaTensor or None.
+    Realize uses transfer_diagonal over finite pi and this search where
+    the transfer fails or pi is infinite.
     end_vertices pins (v0, v1), which keeps the end terms of several top
     cells coherent.
     """
     model = complex_.model
-    d, idx = cell
-    bd = complex_.boundary_or_zero(d)
-    target = LambdaTensor(model)
-    for m in range(bd.rows):
-        entry = bd.data[m][idx]
-        if not entry.is_zero():
-            target = target + diagonal[(d - 1, m)].scale_ring(entry)
+    d = cell[0]
+    target = _diagonal_of_boundary(complex_, diagonal, cell)
     verts = [i for i in range(complex_.rank(0))
              if complex_.augmentation[i].aug() == 1]
     lefts = verts if end_vertices is None else [end_vertices[0]]
@@ -303,6 +321,60 @@ def solve_diagonal_cell(complex_: LambdaComplex, diagonal: dict, cell,
         return None
 
     return bounded_search(model, radius, attempt, first=range(1, radius))[0]
+
+
+def _diagonal_of_boundary(complex_: LambdaComplex, diagonal: dict, cell):
+    """Delta(d e) for a cell e, from the diagonals of the cells below it."""
+    bd = complex_.boundary_or_zero(cell[0])
+    target = LambdaTensor(complex_.model)
+    for m in range(bd.rows):
+        entry = bd.data[m][cell[1]]
+        if not entry.is_zero():
+            target = target + diagonal[(cell[0] - 1, m)].scale_ring(entry)
+    return target
+
+
+def transfer_diagonal(s: CoverContraction, complex_: LambdaComplex,
+                      diagonal: dict, cell):
+    """The diagonal of a cell of degree 1 to 3 by homotopy transfer, given
+    the lower diagonals and a contracting homotopy s of the universal cover
+    in degrees 0 to 2 (over a finite model), or None where s fails.
+
+    On the cover's tensor square, d (s (x) 1) + (s (x) 1) d = 1 - eta eps
+    (x) 1.  With ends = (v0|1|e) + (e|1|v0), z = Delta(de) - d ends is a
+    cycle, and (eps (x) 1) z = de - de = 0 by the counit law of the lower
+    diagonals, so Delta(e) = ends + (s (x) 1) z has d Delta(e) = Delta(de).
+    (The contraction s (x) 1 + eta eps (x) s of the square would add
+    v0 (x) s((eps (x) 1) z) = 0.)  The added part has no term of left
+    degree 0, and (1 (x) eps) z = 0 as well, so both counits hold.  z is
+    expanded over Z, an elementary tensor k e_a (x) m e_b returning to
+    orbit form as the triple (a, k^-1 m, b) with coefficient k.  No ends
+    are searched and no Lambda-system is solved.
+    """
+    model = complex_.model
+    v0 = s.base
+    if v0 is None:
+        return None
+    one = model.identity()
+    ends = LambdaTensor(model)
+    ends.add_term(v0, one, cell, model.one())
+    ends.add_term(cell, one, v0, model.one())
+    defect = (_diagonal_of_boundary(complex_, diagonal, cell)
+              - ends.boundary(complex_, complex_))
+    mul, inv = model.mul, model.inv
+    acc = {}
+    for (a, g, b), coeff in defect.terms.items():
+        for h, c in coeff.support.items():
+            image = s(a, h)  # of h e_a, in the term c (h e_a (x) hg e_b)
+            if image is None:
+                return None
+            hg = mul(h, g)
+            for (left, k), n in image.items():
+                support = acc.setdefault((left, mul(inv(k), hg), b), {})
+                support[k] = support.get(k, 0) + c * n
+    for key, support in acc.items():
+        ends.add_term(*key, RingElem(model, support))
+    return ends
 
 
 def _middle_matrix(complex_, d: int, radius: int):

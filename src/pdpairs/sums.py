@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .chains import (
+    CoverContraction,
     LambdaColumnSolver,
     LambdaComplex,
     LambdaMatrix,
@@ -42,6 +43,7 @@ from .pairs import (
     SurfaceDescription,
     solve_diagonal_cell,
     tensor_of_chains,
+    transfer_diagonal,
     verify_pd,
 )
 from .presented import (
@@ -591,8 +593,14 @@ def _assemble_realized(skeleton: ChainPairData, d3_rel: LambdaMatrix,
     full = LambdaComplex(model, ranks, boundary, augmentation=P.augmentation,
                          basis_names=names)
     diag = dict(skeleton.diagonal)
+    # over finite pi the cover is acyclic in degrees 1 and 2 and each
+    # diagonal is transferred; the search is the fallback where it is not
+    s = CoverContraction(full) if model.is_finite() else None
     for j in range(n_new):
-        t = solve_diagonal_cell(full, diag, (3, j), radius=radius)
+        t = None if s is None else transfer_diagonal(s, full, diag, (3, j))
+        if t is None:
+            s = None
+            t = solve_diagonal_cell(full, diag, (3, j), radius=radius)
         if t is None:
             raise SumError(f"no diagonal found for realized cell E{j}")
         diag[(3, j)] = t

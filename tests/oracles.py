@@ -21,7 +21,11 @@ finite table as it was read off system_block_matrix, and
 augmentation_ideal_reference is the whole presentation of I(G) as it was
 built by its own type dispatch; tensor_chain_boundary_reference is the
 differential of Z^omega (x) (C (x) D) written on integer coefficients,
-against which the reduction of LambdaTensor.boundary is checked;
+against which the reduction of LambdaTensor.boundary is checked, and
+lambda_tensor_boundary_reference is LambdaTensor.boundary as it was when
+it summed ring coefficients term by term; contraction_defects checks a
+contracting homotopy of a universal cover on its integer chains, and
+free_resolution builds a resolution of Z to check it on;
 spans_reference asks one column solver per column whether a module
 element is zero; integer_system_reference is a finite LambdaLinearSystem's
 integer system as it was built before norm-multiple equations were stated
@@ -603,9 +607,113 @@ def tensor_chain_boundary_reference(model, terms, left, right):
         sign = -1 if da % 2 else 1
         right_b = right.boundary_or_zero(db)
         for m in range(right_b.rows):
-            for h, c in right_b.data[m][ib].translate(g).support.items():
-                add((a, h, (db - 1, m)), z * c * sign)
+            for w, c in right_b.data[m][ib].support.items():
+                add((a, model.mul(g, w), (db - 1, m)), z * c * sign)
     return out
+
+
+def lambda_tensor_boundary_reference(tensor, left, right):
+    """LambdaTensor.boundary as it was when every term went through
+    add_term with a ring coefficient (a right boundary entry translated
+    by the orbit's group element)."""
+    from pdpairs.groups import RingElem
+    from pdpairs.pairs import LambdaTensor
+    model = tensor.model
+    out = LambdaTensor(model)
+    for (a, g, b), coeff in tensor.terms.items():
+        da, ia = a
+        db, ib = b
+        left_b = left.boundary_or_zero(da)
+        for m in range(left_b.rows):
+            for h, c in left_b.data[m][ia].support.items():
+                out.add_term((da - 1, m), model.mul(model.inv(h), g), b,
+                             coeff * model.unit(h, c))
+        sign = -1 if da % 2 else 1
+        right_b = right.boundary_or_zero(db)
+        for m in range(right_b.rows):
+            entry = right_b.data[m][ib]
+            if entry.is_zero():
+                continue
+            shifted = RingElem(model, {model.mul(g, w): c
+                                       for w, c in entry.support.items()})
+            for h, c in shifted.support.items():
+                out.add_term(a, h, (db - 1, m), coeff * (sign * c))
+    return out
+
+
+def free_resolution(model, top=3):
+    """A free Lambda-resolution of Z over a finite model through degree
+    top: one vertex, d1 the row of g - 1 over the named generators, and
+    the columns of each later d_k a Z-basis of ker d_(k-1) on the
+    linearized complex, read back as Lambda-vectors (a Z-basis of a
+    Lambda-submodule spans it over Lambda)."""
+    from pdpairs.chains import (LambdaComplex, LambdaMatrix, int_vec_to_ring,
+                                system_block_matrix)
+    from pdpairs.intlinalg import LinearSolver
+    elems = model.ball(0)
+    gens = [g for _, g in model.named_generators()]
+    ranks = {0: 1, 1: len(gens)}
+    bd = {1: LambdaMatrix.from_rows(model, [[model.unit(g) - 1
+                                             for g in gens]])}
+    for k in range(2, top + 1):
+        kernel = LinearSolver(system_block_matrix(bd[k - 1])).kernel_basis()
+        cols = [int_vec_to_ring(model, elems, v, ranks[k - 1])
+                for v in kernel]
+        ranks[k] = len(cols)
+        bd[k] = LambdaMatrix.from_columns(model, ranks[k - 1], cols)
+    return LambdaComplex(model, ranks, bd, augmentation=[model.one()])
+
+
+def contraction_defects(complex_, s):
+    """The basis elements g.e of degree <= 2 of the universal cover at
+    which d s + s d = 1 - eta eps fails, checked entry by entry on the
+    integer coefficients of the cover, apart from the linearized complex:
+    d(g.e) = sum of g w . e_m over the entries w of the boundary column."""
+    model = complex_.model
+    one = model.identity()
+
+    def d_of(cell, g):
+        deg, i = cell
+        out = {}
+        bd = complex_.boundary_or_zero(deg)
+        for m in range(bd.rows):
+            for w, c in bd.data[m][i].support.items():
+                key = ((deg - 1, m), model.mul(g, w))
+                out[key] = out.get(key, 0) + c
+        return out
+
+    def add_into(out, chain, n):
+        for key, c in chain.items():
+            out[key] = out.get(key, 0) + n * c
+
+    bad = []
+    for deg in range(3):
+        for i in range(complex_.rank(deg)):
+            for g in model.elements():
+                cell = (deg, i)
+                image = s(cell, g)
+                if image is None:
+                    bad.append((cell, g))
+                    continue
+                total = {}
+                for (e, h), n in image.items():
+                    add_into(total, d_of(e, h), n)
+                for (e, h), n in d_of(cell, g).items():
+                    lower = s(e, h)
+                    if lower is None:
+                        bad.append((cell, g))
+                        break
+                    add_into(total, lower, n)
+                else:
+                    expect = {(cell, g): 1}
+                    if deg == 0:
+                        eps = complex_.augmentation[i].aug()
+                        add_into(expect, {(s.base, one): 1}, -eps)
+                    diff = dict(total)
+                    add_into(diff, expect, -1)
+                    if any(diff.values()):
+                        bad.append((cell, g))
+    return bad
 
 
 def spans_reference(relations, m, radius=4):

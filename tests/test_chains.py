@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from pdpairs.chains import (
     ChainError,
     ChainHomotopy,
+    CoverContraction,
     IntComplex,
     LambdaChainMap,
     LambdaColumnSolver,
@@ -35,7 +36,12 @@ from pdpairs.groups import (
 )
 from pdpairs.intlinalg import IntMatrix, mat_vec
 
-from oracles import column_solve_reference, mat_mul
+from oracles import (
+    column_solve_reference,
+    contraction_defects,
+    free_resolution,
+    mat_mul,
+)
 
 
 def ring(model, *terms):
@@ -1033,12 +1039,14 @@ FINITE_SOLUTIONS = (27, "e58817da8acc7081caf82c71568abc01"
 
 
 def test_finite_group_solutions_are_unchanged(monkeypatch):
+    import pdpairs.sums as sums
     from pdpairs.catalog import build_lens
     from pdpairs.invariants import nu_of_pair, nu_verdict
-    from pdpairs.pairs import verify_pd
+    from pdpairs.pairs import solve_diagonal_cell, verify_pd
     from pdpairs.sums import export_realization_input, realize_free_case
     results = []
     real = LambdaLinearSystem.solve
+    real_transfer = sums.transfer_diagonal
 
     def record(self, radius=4):
         out = real(self, radius)
@@ -1049,7 +1057,13 @@ def test_finite_group_solutions_are_unchanged(monkeypatch):
             for name in self.var_order])
         return out
 
+    def transfer(s, complex_, diagonal, cell):
+        # the realized cell's search, at realize's radius
+        solve_diagonal_cell(complex_, diagonal, cell, radius=4)
+        return real_transfer(s, complex_, diagonal, cell)
+
     monkeypatch.setattr(LambdaLinearSystem, "solve", record)
+    monkeypatch.setattr(sums, "transfer_diagonal", transfer)
     for p in range(2, 14):
         pair = build_lens(p)
         nu_verdict(nu_of_pair(pair, verify_pd(pair).fundamental_class))
@@ -1060,3 +1074,30 @@ def test_finite_group_solutions_are_unchanged(monkeypatch):
     for result in results:
         digest.update(repr(result).encode())
     assert (len(results), digest.hexdigest()) == FINITE_SOLUTIONS
+
+
+def test_cover_contraction_is_a_contracting_homotopy():
+    from pdpairs.catalog import build_lens
+    complexes = [build_lens(2).P, build_lens(5).P,
+                 free_resolution(FiniteTable.symmetric3())]
+    assert complexes[2].ranks == {0: 1, 1: 2, 2: 7, 3: 35}
+    for complex_ in complexes:
+        s = CoverContraction(complex_)
+        assert s.base == (0, 0)
+        assert contraction_defects(complex_, s) == []
+        # every basis element of degree <= 2 was solved once
+        assert len(s.memo) == len(complex_.model.ball(0)) * sum(
+            complex_.rank(d) for d in range(3))
+
+
+def test_cover_contraction_fails_where_the_cover_has_homology():
+    # over the trivial group, a 2-sphere that bounds no 3-cell
+    triv = TrivialGroup()
+    one = triv.one()
+    complex_ = LambdaComplex(triv, {0: 1, 2: 2, 3: 1},
+                             {3: LambdaMatrix.from_rows(triv, [[one], [one]])},
+                             augmentation=[one])
+    s = CoverContraction(complex_)
+    assert s((0, 0), ()) == {}
+    assert s((2, 0), ()) is None and s((2, 1), ()) is None
+    assert contraction_defects(complex_, s) == [((2, 0), ()), ((2, 1), ())]

@@ -392,11 +392,22 @@ def _nu_of_lens(p):
 
 
 def _realize_lens(p):
+    """Realize L(p,1), handing each cell whose diagonal realize transfers
+    to solve_diagonal_cell at realize's radius 4 as well."""
+    import pdpairs.sums as sums
     from pdpairs.catalog import build_lens
-    from pdpairs.pairs import verify_pd
-    from pdpairs.sums import export_realization_input, realize_free_case
+    from pdpairs.pairs import solve_diagonal_cell, verify_pd
+    real = sums.transfer_diagonal
+
+    def transfer(s, complex_, diagonal, cell):
+        solve_diagonal_cell(complex_, diagonal, cell, radius=4)
+        return real(s, complex_, diagonal, cell)
+
     pair = build_lens(p)
-    realize_free_case(export_realization_input(pair, verify_pd(pair)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sums, "transfer_diagonal", transfer)
+        sums.realize_free_case(
+            sums.export_realization_input(pair, verify_pd(pair)))
 
 
 def _lens_systems(monkeypatch):

@@ -32,6 +32,7 @@ from pdpairs.groups import (
 from pdpairs.intlinalg import mat_vec
 
 from oracles import (
+    lambda_tensor_boundary_reference,
     solve_diagonal_cell_reference,
     tensor_chain_boundary_reference,
     verify_pd_finite_reference,
@@ -150,6 +151,55 @@ def test_reduction_commutes_with_tensor_boundary(model):
                        random_ring(model, rng, 1))
         assert reduce_tensor(t.boundary(P, D)) == \
             tensor_chain_boundary_reference(model, reduce_tensor(t), P, D)
+
+
+@pytest.mark.parametrize("model", [
+    InfiniteCyclic("t"), FiniteTable.cyclic(3, "g"),
+    FiniteTable.symmetric3(),
+    FreeProduct(InfiniteCyclic("s", omega_gen=1), InfiniteCyclic("t"))],
+    ids=["Z", "C3", "S3", "Z*Z"])
+def test_tensor_boundary_keeps_the_ring_formula_order(model):
+    # keys, their order and each support's order must agree.  First, three
+    # edges with boundaries v, -v and v: the key (v, 1, v) cancels and
+    # comes back after (v, g, v), whose element 1 cancels and comes back
+    # after g
+    one = model.one()
+    ball = model.ball(1)
+    g = next(k for k in ball if k != model.identity())
+    P = LambdaComplex(model, {0: 1, 1: 3},
+                      {1: LambdaMatrix.from_rows(model, [[one, -one, one]])},
+                      check=False)
+    D = LambdaComplex(model, {0: 1}, {}, check=False)
+    v, e = (0, 0), [(1, i) for i in range(3)]
+    t = LambdaTensor(model)
+    for edge, k, coeff in ((0, model.identity(), one),
+                           (1, model.identity(), one), (0, g, one),
+                           (2, model.identity(), one + model.unit(g)),
+                           (1, g, one + model.unit(g)), (2, g, one)):
+        t.add_term(e[edge], k, v, coeff)
+    ref = lambda_tensor_boundary_reference(t, P, D)
+    assert list(ref.terms) == [(v, g, v), (v, model.identity(), v)]
+    assert list(ref.terms[(v, g, v)].support) == [g, model.identity()]
+    cases = [(t, P, D)]
+    rng = random.Random(f"tensor-boundary-{model!r}")
+    for _ in range(30):
+        P = _random_complex(model, rng, {0: 1, 1: 2, 2: 1})
+        D = _random_complex(model, rng, {0: 2, 1: 1, 2: 1})
+        t = LambdaTensor(model)
+        for _ in range(rng.randint(1, 12)):
+            da, db = rng.choice((0, 1, 2)), rng.choice((0, 1, 2))
+            t.add_term((da, rng.randrange(P.rank(da))),
+                       ball[rng.randrange(len(ball))],
+                       (db, rng.randrange(D.rank(db))),
+                       random_ring(model, rng, 1, terms=3))
+        cases.append((t, P, D))
+    for t, P, D in cases:
+        new = t.boundary(P, D)
+        ref = lambda_tensor_boundary_reference(t, P, D)
+        assert list(new.terms) == list(ref.terms)
+        for key, coeff in new.terms.items():
+            assert list(coeff.support.items()) == \
+                list(ref.terms[key].support.items())
 
 
 def test_tensor_chain_boundary_squares_to_zero():
@@ -464,16 +514,24 @@ def test_solve_diagonal_cell_reproduces_known_diagonal():
 
 
 def _diagonal_calls(monkeypatch, builder):
-    """The solve_diagonal_cell inputs of realizing builder's pair."""
+    """The solve_diagonal_cell inputs of realizing builder's pair: realize's
+    own calls, and each cell whose diagonal it transfers over finite pi,
+    with realize's radius 4."""
     import pdpairs.sums as sums
     calls = []
     real = sums.solve_diagonal_cell
+    real_transfer = sums.transfer_diagonal
 
     def record(complex_, diagonal, cell, **kwargs):
         calls.append((complex_, dict(diagonal), cell, kwargs))
         return real(complex_, diagonal, cell, **kwargs)
 
+    def record_transfer(s, complex_, diagonal, cell):
+        calls.append((complex_, dict(diagonal), cell, {"radius": 4}))
+        return real_transfer(s, complex_, diagonal, cell)
+
     monkeypatch.setattr(sums, "solve_diagonal_cell", record)
+    monkeypatch.setattr(sums, "transfer_diagonal", record_transfer)
     pair = builder()
     sums.realize_free_case(
         sums.export_realization_input(pair, verify_pd(pair)))

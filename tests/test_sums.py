@@ -18,8 +18,16 @@ from pdpairs.catalog import (
     build_solid_torus_collared,
 )
 from pdpairs.dsl import load_scenario
+from pdpairs.groups import FiniteTable
 from pdpairs.invariants import extract_triple, nu_difference_is_null, nu_of_pair
-from pdpairs.pairs import SurfaceDescription, verify_pd
+from pdpairs.chains import CoverContraction
+from pdpairs.pairs import (
+    ChainPairData,
+    LambdaTensor,
+    SurfaceDescription,
+    transfer_diagonal,
+    verify_pd,
+)
 from pdpairs.sums import (
     RealizationInput,
     SumError,
@@ -30,6 +38,8 @@ from pdpairs.sums import (
     interior_sum,
     realize_free_case,
 )
+
+from oracles import free_resolution
 
 
 def verified(builder):
@@ -177,6 +187,132 @@ def test_realize_detects_mismatched_factorization():
     inp.factorization.middle = LambdaMatrix.identity(pair.model, 2)
     with pytest.raises(SumError, match="does not match"):
         realize_free_case(inp)
+
+
+def _diagonal_spy(monkeypatch):
+    """Each diagonal realize transfers, and its calls of the search."""
+    import pdpairs.sums as sums
+    seen = {"transferred": [], "searched": []}
+    real_transfer = sums.transfer_diagonal
+    real_search = sums.solve_diagonal_cell
+
+    def transfer(s, complex_, diagonal, cell):
+        out = real_transfer(s, complex_, diagonal, cell)
+        seen["transferred"].append((cell, out))
+        return out
+
+    def search(complex_, diagonal, cell, **kwargs):
+        seen["searched"].append(cell)
+        return real_search(complex_, diagonal, cell, **kwargs)
+
+    monkeypatch.setattr(sums, "transfer_diagonal", transfer)
+    monkeypatch.setattr(sums, "solve_diagonal_cell", search)
+    return seen
+
+
+def _assert_diagonal_laws(pair, cell):
+    """The chain-map law and both counits at one cell, written out."""
+    P, tensor = pair.P, pair.diagonal[cell]
+    bd = P.boundary_or_zero(cell[0])
+    target = LambdaTensor(P.model)
+    for m in range(bd.rows):
+        entry = bd.data[m][cell[1]]
+        if not entry.is_zero():
+            target = target + pair.diagonal[(cell[0] - 1, m)].scale_ring(entry)
+    assert (tensor.boundary(P, P) - target).is_zero()
+    assert tensor.left_counit(P) == {cell: P.model.one()}
+    assert tensor.right_counit(P) == {cell: P.model.one()}
+
+
+def _transferred(complex_, vertex_diagonal):
+    """Every diagonal of complex_ transferred up from its vertices'."""
+    s = CoverContraction(complex_)
+    diagonal = dict(vertex_diagonal)
+    for d in (1, 2, 3):
+        for i in range(complex_.rank(d)):
+            diagonal[(d, i)] = transfer_diagonal(s, complex_, diagonal, (d, i))
+    return diagonal
+
+
+def test_transfer_rebuilds_the_lens_diagonals():
+    # transferred up from the vertex, every diagonal of L(p,1) is the
+    # hand-written one, the norm sum of the 2-cell's included
+    for p in range(2, 41):
+        pair = build_lens(p)
+        diagonal = _transferred(pair.P, {(0, 0): pair.diagonal[(0, 0)]})
+        assert diagonal == pair.diagonal, p
+        rebuilt = ChainPairData(pair.P, {}, diagonal, top_cell="E")
+        for cell in diagonal:
+            _assert_diagonal_laws(rebuilt, cell)
+        assert verify_pd(rebuilt).passed(), p
+
+
+def test_transfer_gives_a_resolution_of_s3_a_diagonal():
+    resolution = free_resolution(FiniteTable.symmetric3())
+    model = resolution.model
+    vertex = LambdaTensor(model)
+    vertex.add_term((0, 0), model.identity(), (0, 0), model.one())
+    diagonal = _transferred(resolution, {(0, 0): vertex})
+    assert None not in diagonal.values()
+    pair = ChainPairData(resolution, {}, diagonal)
+    for cell in diagonal:
+        _assert_diagonal_laws(pair, cell)
+    # some coefficient is a group element other than 1, so each term's
+    # return to orbit form is seen
+    assert any(k != model.identity() for t in diagonal.values()
+               for coeff in t.terms.values() for k in coeff.support)
+
+
+@pytest.mark.parametrize("builder", [build_d3] + [
+    (lambda p: lambda: build_lens(p))(p) for p in range(2, 15)],
+    ids=["d3"] + [f"lens-{p}" for p in range(2, 15)])
+def test_realized_cells_over_finite_pi_are_transferred(monkeypatch, builder):
+    seen = _diagonal_spy(monkeypatch)
+    pair, verdict = verified(builder)
+    outcome = realize_free_case(export_realization_input(pair, verdict))
+    assert seen["searched"] == []
+    assert seen["transferred"]
+    for cell, tensor in seen["transferred"]:
+        assert tensor is not None and outcome.pair.diagonal[cell] is tensor
+        _assert_diagonal_laws(outcome.pair, cell)
+    assert outcome.verdict.passed()
+
+
+def test_realize_searches_where_the_cover_has_homology(monkeypatch):
+    # over the trivial group: vertices v, w joined by an edge, and two
+    # 2-spheres at w whose sum bounds the new 3-cell; e1 alone is a
+    # 2-cycle of the cover that bounds nothing, so the transfer fails and
+    # realize falls back on the search
+    from pdpairs.chains import LambdaComplex, LambdaMatrix
+    from pdpairs.groups import TrivialGroup
+    from pdpairs.sums import _assemble_realized
+    triv = TrivialGroup()
+    one, e = triv.one(), triv.identity()
+    P = LambdaComplex(triv, {0: 2, 1: 1, 2: 2},
+                      {1: LambdaMatrix.from_rows(triv, [[-one], [one]])},
+                      augmentation=[one, one],
+                      basis_names={0: ("v", "w"), 1: ("a",),
+                                   2: ("e1", "e2")})
+    v, w, a = (0, 0), (0, 1), (1, 0)
+
+    def tensor(*terms):
+        out = LambdaTensor(triv)
+        for left, right in terms:
+            out.add_term(left, e, right, one)
+        return out
+
+    diagonal = {v: tensor((v, v)), w: tensor((w, w)),
+                a: tensor((v, a), (a, w))}
+    for i in range(2):
+        diagonal[(2, i)] = tensor((w, (2, i)), ((2, i), w))
+    skeleton = ChainPairData(P, {}, diagonal, name="spheres")
+    seen = _diagonal_spy(monkeypatch)
+    d3_rel = LambdaMatrix.from_rows(triv, [[one], [one]])
+    outcome = _assemble_realized(skeleton, d3_rel,
+                                 RealizationInput(skeleton, None, {}), 4)
+    assert seen["transferred"] == [((3, 0), None)]
+    assert seen["searched"] == [(3, 0)]
+    _assert_diagonal_laws(outcome.pair, (3, 0))
 
 
 # ---------------------------------------------------------------------------
